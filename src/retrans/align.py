@@ -47,40 +47,70 @@ class Segmentation:
     total_edit_distance: int
 
 
-def _segment_prefix_costs(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> list[list[int]]:
+# Least cost budget the band is first built for, so that short inputs with
+# a handful of edits finish in one pass.
+_MIN_BAND = 16
+
+
+def _segment_prefix_costs(
+    hyp: Sequence[str], refs: Sequence[Sequence[str]], band: int
+) -> list[list[int]]:
     """rows[r][j]: least summed edit distance of refs[:r] against any split
-    of hyp[:j] into r contiguous pieces."""
+    of hyp[:j] into r contiguous pieces, over alignment paths that stay in
+    the band; cells outside it hold ``_INF``.
+
+    A cell (i, j) pairs i reference tokens, counted across segments, with
+    j hypothesis tokens.  For M reference and N hypothesis tokens, every
+    path through it costs at least ``|i - j| + |(M - i) - (N - j)|``; the
+    band holds the cells where that bound is at most ``band``.  Splitting
+    the concatenated references never costs extra, so the table is an
+    edit-distance table of ``hyp`` against their concatenation, kept at the
+    segment borders.
+    """
     width = len(hyp)
-    rows = [[0] + [_INF] * width]
+    delta = sum(len(ref) for ref in refs) - width
+    # Diagonals d = i - j with |d| + |delta - d| <= band.
+    d_lo = -((band - delta) // 2)
+    d_hi = (band + delta) // 2
+
+    def full_row(row: list[int], lo: int) -> list[int]:
+        return [_INF] * lo + row + [_INF] * (width + 1 - lo - len(row))
+
+    lo = 0
+    row = list(range(min(width, -d_lo) + 1))
+    rows = [full_row(row, lo)]
+    i = 0
     for ref in refs:
-        prev = rows[-1]
-        # Row for zero consumed reference tokens.  Folding the running
-        # minimum in here lets the current piece start at any earlier cut,
-        # paying one insertion per hypothesis token skipped since the cut.
-        acc = [prev[0]] + [0] * width
-        for j in range(1, width + 1):
-            acc[j] = min(prev[j], acc[j - 1] + 1)
         for ref_tok in ref:
-            nxt = [acc[0] + 1] + [0] * width
-            for j in range(1, width + 1):
-                sub = acc[j - 1] + (hyp[j - 1] != ref_tok)
-                nxt[j] = min(acc[j] + 1, nxt[j - 1] + 1, sub)
-            acc = nxt
-        rows.append(acc)
+            i += 1
+            new_lo = max(0, i - d_hi)
+            new_hi = min(width, i - d_lo)
+            # The previous row over columns new_lo - 1 .. new_hi, padded.  It
+            # starts at column lo, which is new_lo - 1 unless both are 0.
+            prev = row if new_lo > lo else [_INF] + row
+            prev += [_INF] * (new_hi + 2 - new_lo - len(prev))
+            if new_lo == 0:
+                left = prev[1] + 1
+                row = [left]
+                first = 1
+            else:
+                left = _INF
+                row = []
+                first = new_lo
+            for hyp_tok, diag, up in zip(
+                hyp[first - 1:new_hi], prev[first - new_lo:], prev[first - new_lo + 1:]
+            ):
+                if hyp_tok != ref_tok:
+                    diag += 1
+                if up < left:
+                    left = up
+                left += 1
+                if diag < left:
+                    left = diag
+                row.append(left)
+            lo = new_lo
+        rows.append(full_row(row, lo))
     return rows
-
-
-def _distances_from(hyp: Sequence[str], start: int, ref: Sequence[str]) -> list[int]:
-    """costs[j - start] = levenshtein(hyp[start:j], ref) for j in start..len(hyp)."""
-    width = len(hyp) - start
-    prev = list(range(width + 1))
-    for ref_tok in ref:
-        cur = [prev[0] + 1]
-        for c in range(1, width + 1):
-            sub = prev[c - 1] + (hyp[start + c - 1] != ref_tok)
-            cur.append(min(prev[c] + 1, cur[-1] + 1, sub))
-        prev = cur
-    return prev
 
 
 def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentation:
@@ -92,6 +122,14 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentat
     score computed on pre-segmented text.  Among equally cheap splits the
     one with the leftmost cuts wins, decided left to right.
 
+    The cost table is filled only inside a diagonal band, widened until the
+    best split costs no more than the band admits, so for N hypothesis and
+    M reference tokens at total distance D the work is O(N * (D + |N - M|))
+    amortised over the widenings.  The result is exact: every path of cost
+    at most the band stays inside it, so the optimal total and every cell on
+    an optimal path are exact, and out-of-band cells only overestimate, so
+    the leftmost-cut test can fail on them but never pass wrongly.
+
     Raises ``ValueError`` when ``refs`` is empty or contains an empty
     segment.
     """
@@ -101,27 +139,47 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentat
         raise ValueError("reference segments must be non-empty")
 
     hyp = list(hyp)
+    refs = [list(ref) for ref in refs]
     count = len(refs)
     width = len(hyp)
 
     # suffix[r][j]: cheapest alignment of refs[r:] against hyp[j:].  Computed
     # by running the prefix recurrence on the reversed problem; edit distance
     # is invariant under reversing both sequences.
-    rev_rows = _segment_prefix_costs(hyp[::-1], [list(ref)[::-1] for ref in refs[::-1]])
-    suffix = [[rev_rows[count - r][width - j] for j in range(width + 1)] for r in range(count + 1)]
+    rev_hyp = hyp[::-1]
+    rev_refs = [ref[::-1] for ref in refs[::-1]]
+    band = max(abs(sum(map(len, refs)) - width), _MIN_BAND)
+    while True:
+        rev_rows = _segment_prefix_costs(rev_hyp, rev_refs, band)
+        total = rev_rows[-1][-1]
+        if total <= band:
+            break
+        band = min(2 * band, total)
+    suffix = [row[::-1] for row in reversed(rev_rows)]
 
-    total = suffix[0][0]
     boundaries: list[int] = []
     pos = 0
     for r in range(1, count):
-        piece_costs = _distances_from(hyp, pos, refs[r - 1])
-        for j in range(pos, width + 1):
-            if piece_costs[j - pos] + suffix[r][j] == suffix[r - 1][pos]:
-                boundaries.append(j)
-                pos = j
-                break
-        else:
-            raise AssertionError("segmentation table is inconsistent")
+        # Grow the piece hyp[pos:j] one token at a time; costs[k] is its
+        # edit distance to ref[:k].
+        ref = refs[r - 1]
+        target = suffix[r - 1][pos]
+        after = suffix[r]
+        costs = list(range(len(ref) + 1))
+        j = pos
+        while costs[-1] + after[j] != target:
+            if j == width:
+                raise AssertionError("segmentation table is inconsistent")
+            hyp_tok = hyp[j]
+            j += 1
+            diag = costs[0]
+            costs[0] = j - pos
+            for k, ref_tok in enumerate(ref, 1):
+                shorter = costs[k]
+                costs[k] = min(diag + (hyp_tok != ref_tok), shorter + 1, costs[k - 1] + 1)
+                diag = shorter
+        boundaries.append(j)
+        pos = j
     return Segmentation(tuple(boundaries), total)
 
 

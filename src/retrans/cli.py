@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .align import mwer_segment, split_by_boundaries
+from .align import lcp_len, mwer_segment, split_by_boundaries
 from .decoder import DecoderConfig, ScoringModel, load_table_model
 from .eventlog import EventLog, TimedToken, load_event_log, save_event_log, tokenize
 from .metrics import (
@@ -280,6 +280,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     log = load_event_log(args.events)
     reference = load_reference_document(args.reference)
+    if log.events:
+        spoken = tokenize(log.events[-1].source_text)
+        expected = [tok.token for seg in reference.segments for tok in seg.source_tokens]
+        if spoken != expected:
+            raise ValueError(
+                f"{args.events}: the final source ({len(spoken)} tokens) differs from the source "
+                f"of {args.reference} ({len(expected)} tokens) at token {lcp_len(spoken, expected) + 1}"
+            )
     report = evaluate_all(log, reference, mode=args.correspondence)
     save_report(report, args.out)
     return 0

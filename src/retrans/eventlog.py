@@ -95,6 +95,17 @@ class EventLog:
         return self.events[index]
 
 
+def _is_change(last: Event | None, event: Event) -> bool:
+    """Whether ``event`` extends a log ending in ``last``: false for a
+    repeat of the last (source, output) state; a clock regression raises
+    ``ValueError``."""
+    if last is None:
+        return True
+    if event.time < last.time:
+        raise ValueError(f"event time {event.time!r} precedes the last logged time {last.time!r}")
+    return event.state() != last.state()
+
+
 def append_event(log: EventLog, event: Event) -> EventLog:
     """Return ``log`` extended by ``event``.
 
@@ -103,14 +114,8 @@ def append_event(log: EventLog, event: Event) -> EventLog:
     earlier than the last one signals a corrupted session and raises
     ``ValueError``.
     """
-    if log.events:
-        last = log.events[-1]
-        if event.time < last.time:
-            raise ValueError(
-                f"event time {event.time!r} precedes the last logged time {last.time!r}"
-            )
-        if event.state() == last.state():
-            return log
+    if not _is_change(log.events[-1] if log.events else None, event):
+        return log
     return EventLog(log.events + (event,))
 
 
@@ -144,7 +149,7 @@ def load_event_log(path: str | Path) -> EventLog:
     "out".  Saving the result again reproduces the input byte for byte, as
     long as the input was itself in canonical form.
     """
-    log = EventLog()
+    events: list[Event] = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
@@ -164,7 +169,8 @@ def load_event_log(path: str | Path) -> EventLog:
                 raise ValueError(f"{path}: line {lineno}: \"src\" and \"out\" must be strings")
             try:
                 event = Event(float(record["t"]), record["src"], record["out"])
-                log = append_event(log, event)
+                if _is_change(events[-1] if events else None, event):
+                    events.append(event)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return log
+    return EventLog(tuple(events))

@@ -129,12 +129,18 @@ def erasure(log: EventLog) -> list[int]:
 
 def normalized_erasure(log: EventLog) -> float:
     """Total erasure per token of final output."""
+    return _per_final_token(log, erasure(log))
+
+
+def _per_final_token(log: EventLog, retracted: Sequence[int]) -> float:
+    # ``retracted`` is erasure(log), passed in so one pass serves callers
+    # that also keep the per-event values.
     if not log.events:
         raise ValueError("normalized erasure needs at least one event")
     final_len = len(tokenize(log.events[-1].output_text))
     if final_len == 0:
         raise ValueError("normalized erasure is undefined for an empty final translation")
-    return sum(erasure(log)) / final_len
+    return sum(retracted) / final_len
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +385,12 @@ def evaluate_all(
     """Evaluate one session end to end; errors from the individual metrics
     propagate unchanged."""
     lags = token_lags(log, doc, mode=mode, round_positions=round_positions)
+    retracted = erasure(log)  # token_lags read every event already, so this cannot fail first
     return MetricsReport(
         bleu=evaluate_quality(log, doc),
         translation_lag=math.fsum(lags) / len(lags),
-        normalized_erasure=normalized_erasure(log),
-        per_event_erasure=tuple(erasure(log)),
+        normalized_erasure=_per_final_token(log, retracted),
+        per_event_erasure=tuple(retracted),
         per_token_lag=tuple(lags),
     )
 

@@ -6,7 +6,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrans import Segmentation, lcp_len, levenshtein, mwer_segment, split_by_boundaries
+from retrans import (
+    DecoderConfig,
+    Segmentation,
+    lcp_len,
+    levenshtein,
+    mwer_segment,
+    run_simulation,
+    split_by_boundaries,
+    tokenize,
+)
+from retrans.align import _MIN_BAND
 
 
 def brute_force_segment(hyp, refs):
@@ -25,6 +35,56 @@ def brute_force_segment(hyp, refs):
             best_cost = cost
             best_cuts = cuts
     return Segmentation(tuple(best_cuts), best_cost)
+
+
+def full_table_segment(hyp, refs):
+    """The unbanded segmenter the banded one replaced: the whole suffix
+    table, then a fresh distance scan from every cut."""
+    inf = 10**9
+
+    def prefix_costs(hyp, refs):
+        width = len(hyp)
+        rows = [[0] + [inf] * width]
+        for ref in refs:
+            prev = rows[-1]
+            acc = [prev[0]] + [0] * width
+            for j in range(1, width + 1):
+                acc[j] = min(prev[j], acc[j - 1] + 1)
+            for ref_tok in ref:
+                nxt = [acc[0] + 1] + [0] * width
+                for j in range(1, width + 1):
+                    sub = acc[j - 1] + (hyp[j - 1] != ref_tok)
+                    nxt[j] = min(acc[j] + 1, nxt[j - 1] + 1, sub)
+                acc = nxt
+            rows.append(acc)
+        return rows
+
+    def distances_from(hyp, start, ref):
+        width = len(hyp) - start
+        prev = list(range(width + 1))
+        for ref_tok in ref:
+            cur = [prev[0] + 1]
+            for c in range(1, width + 1):
+                sub = prev[c - 1] + (hyp[start + c - 1] != ref_tok)
+                cur.append(min(prev[c] + 1, cur[-1] + 1, sub))
+            prev = cur
+        return prev
+
+    hyp = list(hyp)
+    count = len(refs)
+    width = len(hyp)
+    rev_rows = prefix_costs(hyp[::-1], [list(ref)[::-1] for ref in refs[::-1]])
+    suffix = [[rev_rows[count - r][width - j] for j in range(width + 1)] for r in range(count + 1)]
+    boundaries = []
+    pos = 0
+    for r in range(1, count):
+        piece_costs = distances_from(hyp, pos, refs[r - 1])
+        for j in range(pos, width + 1):
+            if piece_costs[j - pos] + suffix[r][j] == suffix[r - 1][pos]:
+                boundaries.append(j)
+                pos = j
+                break
+    return Segmentation(tuple(boundaries), suffix[0][0])
 
 
 def test_levenshtein_basics():
@@ -126,3 +186,93 @@ def test_segment_boundaries_are_well_formed(hyp, refs):
     assert list(result.boundaries) == sorted(result.boundaries)
     pieces = split_by_boundaries(hyp, result.boundaries)
     assert sum(levenshtein(piece, ref) for piece, ref in zip(pieces, refs)) == result.total_edit_distance
+
+
+# ---------------------------------------------------------------------------
+# Banded segmenter against the full-table one
+
+
+def _random_refs(rng, vocabulary, segments, longest):
+    return [[rng.choice(vocabulary) for _ in range(rng.randint(1, longest))] for _ in range(segments)]
+
+
+def _assert_matches_full_table(hyp, refs):
+    result = mwer_segment(hyp, refs)
+    assert result == full_table_segment(hyp, refs)
+    return result
+
+
+def test_banded_segment_matches_full_table_on_tiny_vocabularies():
+    # Two-letter text is full of equally cheap splits: the tie-break decides.
+    rng = random.Random(11)
+    for _ in range(300):
+        refs = _random_refs(rng, "ab", rng.randint(1, 6), 6)
+        hyp = [rng.choice("ab") for _ in range(rng.randint(0, 30))]
+        _assert_matches_full_table(hyp, refs)
+
+
+def test_banded_segment_matches_full_table_when_the_band_must_widen():
+    # Same lengths, unrelated words: the distance far exceeds both the
+    # length difference and the first band, so the band widens.
+    rng = random.Random(12)
+    widened = 0
+    for _ in range(40):
+        refs = _random_refs(rng, "abcdefghij", rng.randint(2, 8), 12)
+        total = sum(len(ref) for ref in refs)
+        hyp = [rng.choice("abcdefghij") for _ in range(max(0, total + rng.randint(-2, 2)))]
+        result = _assert_matches_full_table(hyp, refs)
+        widened += result.total_edit_distance > max(abs(total - len(hyp)), _MIN_BAND)
+    assert widened >= 10
+
+
+def test_banded_segment_matches_full_table_on_disjoint_vocabularies():
+    # Nothing matches, so the distance is max(N, M) and the band has to
+    # grow to cover the table.
+    rng = random.Random(13)
+    for _ in range(30):
+        refs = _random_refs(rng, "abc", rng.randint(1, 6), 10)
+        hyp = [rng.choice("xyz") for _ in range(rng.randint(0, 60))]
+        result = _assert_matches_full_table(hyp, refs)
+        assert result.total_edit_distance == max(len(hyp), sum(len(ref) for ref in refs))
+
+
+def test_banded_segment_matches_full_table_on_empty_hypothesis():
+    rng = random.Random(14)
+    for _ in range(20):
+        refs = _random_refs(rng, "abcd", rng.randint(1, 8), 30)
+        result = _assert_matches_full_table([], refs)
+        assert result.boundaries == (0,) * (len(refs) - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from("abcd"), max_size=40),
+    st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=8), min_size=1, max_size=8),
+)
+def test_banded_segment_matches_full_table_property(hyp, refs):
+    _assert_matches_full_table(hyp, refs)
+
+
+@pytest.mark.parametrize("sentences_per_segment", [1, 5])
+def test_banded_segment_matches_full_table_on_the_toy_corpus(
+    toy_model, toy_documents, sentences_per_segment
+):
+    # The toy documents' sessions run back to back, twice in two orders,
+    # against their references: one per sentence (a long talk) or five
+    # sentences joined into one segment (run-on speech).
+    rng = random.Random(15)
+    hyp = []
+    sentences = []
+    for round_ in range(2):
+        order = list(toy_documents)
+        rng.shuffle(order)
+        for name, transcript, reference in order:
+            config = DecoderConfig(beam_size=4, bias_weight=0.5 * round_, mask_length=2)
+            hyp += tokenize(run_simulation(transcript, toy_model, config).events[-1].output_text)
+            sentences += reference.reference_token_segments()
+    refs = [
+        [tok for sentence in sentences[i:i + sentences_per_segment] for tok in sentence]
+        for i in range(0, len(sentences), sentences_per_segment)
+    ]
+    _assert_matches_full_table(hyp, refs)
+    _assert_matches_full_table(hyp[: len(hyp) // 2], refs)

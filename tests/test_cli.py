@@ -261,6 +261,20 @@ def test_evaluate_command_in_both_correspondence_modes(tmp_path, toy_model, toy_
         assert out.read_bytes() == expected.read_bytes()
 
 
+def test_evaluate_command_rejects_a_log_of_another_document(tmp_path, toy_model, capsys):
+    events = tmp_path / "news-events.jsonl"
+    transcript = load_transcript(TOY_DIR / "transcripts" / "news.jsonl")
+    save_event_log(run_simulation(transcript, toy_model, DecoderConfig(beam_size=2)), events)
+    reference = TOY_DIR / "references" / "games.jsonl"
+    out = tmp_path / "report.json"
+    code = main(["evaluate", "--events", str(events), "--reference", str(reference), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(events) in err and str(reference) in err
+    assert not out.exists()
+
+
 def test_sweep_command_writes_rows_and_pareto_sibling(tmp_path, toy_model, toy_documents):
     transcripts = tmp_path / "transcripts"
     references = tmp_path / "references"

@@ -111,6 +111,40 @@ def test_load_rejects_negative_and_regressing_times(tmp_path):
 @given(
     st.lists(
         st.tuples(
+            st.integers(min_value=-1000, max_value=3000),
+            st.sampled_from(["", "a", "a b"]),
+            st.sampled_from(["", "x"]),
+        ),
+        max_size=10,
+    )
+)
+def test_load_keeps_what_append_keeps(tmp_path_factory, records):
+    # Repeats are dropped and a clock regression fails on its line, with
+    # append_event's message, exactly as folding append_event would.
+    path = tmp_path_factory.mktemp("logs") / "log.jsonl"
+    path.write_text(
+        "".join(f'{{"t": {millis / 1000.0}, "src": "{src}", "out": "{out}"}}\n' for millis, src, out in records),
+        encoding="utf-8",
+    )
+    expected = EventLog()
+    error = None
+    for lineno, (millis, src, out) in enumerate(records, 1):
+        try:
+            expected = append_event(expected, Event(millis / 1000.0, src, out))
+        except ValueError as exc:
+            error = f"{path}: line {lineno}: {exc}"
+            break
+    if error is None:
+        assert load_event_log(path) == expected
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            load_event_log(path)
+        assert str(excinfo.value) == error
+
+
+@given(
+    st.lists(
+        st.tuples(
             st.integers(min_value=0, max_value=5000),
             st.text(alphabet="abc .", max_size=8),
             st.text(alphabet="xyz .", max_size=8),
