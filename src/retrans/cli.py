@@ -122,8 +122,6 @@ def sweep(
     bias_weights: Sequence[float],
     mask_lengths: Sequence[int],
     beam_size: int,
-    chunk_size: int = 1,
-    delay: float = 0.0,
 ) -> list[SweepRow]:
     """Simulate and evaluate every document under every setting.
 
@@ -150,7 +148,7 @@ def sweep(
             final_tokens = 0
             for name, transcript, reference in documents:
                 try:
-                    log = run_simulation(transcript, model, config, chunk_size, delay)
+                    log = run_simulation(transcript, model, config)
                     hyp = tokenize(log.events[-1].output_text) if log.events else []
                     refs = reference.reference_token_segments()
                     pooled_pieces.extend(split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries))

@@ -156,14 +156,12 @@ class DecoderConfig:
 
     ``previous_translation`` is the unmasked translation this sentence got
     last time around; ``bias_weight`` is how much probability mass to put on
-    sticking with it.  ``max_len`` of None means 2 * len(source) + 5, a
-    cutoff that word-for-word models never reach.
+    sticking with it.
     """
 
     beam_size: int = 1
     bias_weight: float = 0.0
     mask_length: int = 0
-    max_len: int | None = None
     previous_translation: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -173,8 +171,6 @@ class DecoderConfig:
             raise ValueError(f"bias_weight must be in [0, 1], got {self.bias_weight!r}")
         if self.mask_length < 0:
             raise ValueError(f"mask_length must be >= 0, got {self.mask_length}")
-        if self.max_len is not None and self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,18 +224,20 @@ def biased_beam_search(
     Scores are accumulated log probabilities of the mixed distributions.
 
     Finished hypotheses stay in the beam and compete by score.  The search
-    stops when every surviving hypothesis is finished or has ``max_len``
-    tokens, and returns the best finished one, or the best partial if
-    nothing finished in time.  Ties prefer the hypothesis still following
-    the previous translation, then the lexicographically earlier one.  An
-    empty source translates to an empty output without consulting the model.
+    stops when every surviving hypothesis is finished or has
+    2 * len(source) + 5 tokens (a cutoff word-for-word models never reach;
+    it stops a model that never emits EOS), and returns the best finished
+    one, or the best partial if nothing finished in time.  Ties prefer the
+    hypothesis still following the previous translation, then the
+    lexicographically earlier one.  An empty source translates to an empty
+    output without consulting the model.
     """
     source = tuple(source)
     if not source:
         return ()
     previous = tuple(config.previous_translation)
     weight = config.bias_weight
-    max_len = config.max_len if config.max_len is not None else 2 * len(source) + 5
+    max_len = 2 * len(source) + 5
 
     beam = [Hypothesis((), 0.0, True)]
     while not all(h.finished or len(h.tokens) >= max_len for h in beam):

@@ -77,8 +77,13 @@ def save_reference_document(doc: ReferenceDocument, path: str | Path) -> None:
             handle.write('{"src": [%s], "ref": %s}\n' % (src, ref))
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_reference_document(path: str | Path) -> ReferenceDocument:
     segments: list[ReferenceSegment] = []
+    last_time = 0.0
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
@@ -100,14 +105,24 @@ def load_reference_document(path: str | Path) -> ReferenceDocument:
                     )
                 if not isinstance(item["w"], str):
                     raise ValueError(f"{path}: line {lineno}: \"w\" must be a string")
-                if not isinstance(item["time"], (int, float)) or isinstance(item["time"], bool):
+                if not _is_number(item["time"]):
                     raise ValueError(f"{path}: line {lineno}: \"time\" must be a number")
-                tokens.append(TimedToken(item["w"], float(item["time"])))
+                try:
+                    token = TimedToken(item["w"], float(item["time"]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                if token.time < last_time:
+                    raise ValueError(f"{path}: line {lineno}: source token times must be non-decreasing")
+                last_time = token.time
+                tokens.append(token)
             try:
                 segments.append(ReferenceSegment(tuple(tokens), record["ref"]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return ReferenceDocument(tuple(segments))
+    try:
+        return ReferenceDocument(tuple(segments))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +276,9 @@ def correspondence(log: EventLog, doc: ReferenceDocument, mode: str = "segment")
     return CorrespondenceMap(tuple(records))
 
 
-def _time_at(times: Sequence[float], position: float, round_positions: bool) -> float:
+def _time_at(times: Sequence[float], position: float) -> float:
     # Positions arrive clamped, so any fractional position has a right
     # neighbour inside the same segment.
-    if round_positions:
-        return times[int(math.floor(position + 0.5))]
     base = int(math.floor(position))
     frac = position - base
     if frac == 0.0:
@@ -273,19 +286,13 @@ def _time_at(times: Sequence[float], position: float, round_positions: bool) -> 
     return times[base] * (1.0 - frac) + times[base + 1] * frac
 
 
-def token_lags(
-    log: EventLog,
-    doc: ReferenceDocument,
-    mode: str = "segment",
-    round_positions: bool = False,
-) -> list[float]:
+def token_lags(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> list[float]:
     """Per-token lag: finalization time minus the spoken time of the
     corresponding source position.
 
     Fractional source positions take the linear interpolation of the two
-    neighbouring token times; pass ``round_positions=True`` to snap to the
-    nearest token instead (half rounds up).  Lags may be negative when the
-    display commits to a token before its source words are fully spoken.
+    neighbouring token times.  Lags may be negative when the display
+    commits to a token before its source words are fully spoken.
     """
     if not log.events:
         raise ValueError("lag needs at least one event")
@@ -295,19 +302,14 @@ def token_lags(
     cmap = correspondence(log, doc, mode=mode)
     times = doc.source_times()
     return [
-        fin.times[j] - _time_at(times, record.source_position, round_positions)
+        fin.times[j] - _time_at(times, record.source_position)
         for j, record in enumerate(cmap.tokens)
     ]
 
 
-def translation_lag(
-    log: EventLog,
-    doc: ReferenceDocument,
-    mode: str = "segment",
-    round_positions: bool = False,
-) -> float:
+def translation_lag(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> float:
     """Mean of :func:`token_lags` over the final translation."""
-    lags = token_lags(log, doc, mode=mode, round_positions=round_positions)
+    lags = token_lags(log, doc, mode=mode)
     return math.fsum(lags) / len(lags)
 
 
@@ -376,15 +378,10 @@ class MetricsReport:
     per_token_lag: tuple[float, ...]
 
 
-def evaluate_all(
-    log: EventLog,
-    doc: ReferenceDocument,
-    mode: str = "segment",
-    round_positions: bool = False,
-) -> MetricsReport:
+def evaluate_all(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> MetricsReport:
     """Evaluate one session end to end; errors from the individual metrics
     propagate unchanged."""
-    lags = token_lags(log, doc, mode=mode, round_positions=round_positions)
+    lags = token_lags(log, doc, mode=mode)
     retracted = erasure(log)  # token_lags read every event already, so this cannot fail first
     return MetricsReport(
         bleu=evaluate_quality(log, doc),
@@ -411,13 +408,23 @@ def save_report(report: MetricsReport, path: str | Path) -> None:
 
 def load_report(path: str | Path) -> MetricsReport:
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or set(payload) != {"bleu", "tl", "ne", "erasure", "lags"}:
         raise ValueError(f'{path}: expected an object with keys "bleu", "tl", "ne", "erasure", "lags"')
+    for key in ("bleu", "tl", "ne"):
+        if not _is_number(payload[key]):
+            raise ValueError(f'{path}: "{key}" must be a number')
+    if not isinstance(payload["erasure"], list) or not all(type(v) is int for v in payload["erasure"]):
+        raise ValueError(f'{path}: "erasure" must be a list of integers')
+    if not isinstance(payload["lags"], list) or not all(_is_number(v) for v in payload["lags"]):
+        raise ValueError(f'{path}: "lags" must be a list of numbers')
     return MetricsReport(
         bleu=float(payload["bleu"]),
         translation_lag=float(payload["tl"]),
         normalized_erasure=float(payload["ne"]),
-        per_event_erasure=tuple(int(v) for v in payload["erasure"]),
+        per_event_erasure=tuple(payload["erasure"]),
         per_token_lag=tuple(float(v) for v in payload["lags"]),
     )

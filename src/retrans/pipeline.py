@@ -73,10 +73,7 @@ def load_transcript(path: str | Path) -> TimedTranscript:
             if tokens and token.time < tokens[-1].time:
                 raise ValueError(f"{path}: line {lineno}: transcript times must be non-decreasing")
             tokens.append(token)
-    try:
-        return TimedTranscript(tuple(tokens))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return TimedTranscript(tuple(tokens))
 
 
 def split_sentences(tokens: Sequence[str]) -> tuple[list[list[str]], bool]:
@@ -134,13 +131,14 @@ def step(
     Returns the new state and the logged event; the event's timestamp is
     the last fed token's time plus ``delay``.
     """
-    new_tokens = tuple(new_tokens)
+    # Only the fed tokens need checking: earlier feeds were checked when fed.
+    new_tokens = TimedTranscript(tuple(new_tokens)).tokens
     if not new_tokens:
         raise ValueError("step needs at least one new token")
     if state.transcript and new_tokens[0].time < state.transcript[-1].time:
         raise ValueError("new tokens must not precede the transcript seen so far")
 
-    transcript = TimedTranscript(state.transcript + new_tokens).tokens
+    transcript = state.transcript + new_tokens
     words = [tok.token for tok in transcript]
     sentences, last_complete = split_sentences(words)
 

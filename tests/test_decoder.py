@@ -174,8 +174,8 @@ class _LoopingModel:
 
 
 def test_unfinished_fallback_at_length_cutoff():
-    config = DecoderConfig(beam_size=2, max_len=4)
-    assert biased_beam_search(_LoopingModel(), ["x"], True, config) == ("la",) * 4
+    config = DecoderConfig(beam_size=2)
+    assert biased_beam_search(_LoopingModel(), ["x"], True, config) == ("la",) * 7
 
 
 def test_config_validation():
@@ -185,8 +185,6 @@ def test_config_validation():
         DecoderConfig(bias_weight=1.5)
     with pytest.raises(ValueError):
         DecoderConfig(mask_length=-1)
-    with pytest.raises(ValueError):
-        DecoderConfig(max_len=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 
 import pytest
 
@@ -190,7 +192,6 @@ def test_lag_interpolates_fractional_positions():
     log = build_log((4.0, "s0 s1 s2", "w x"))
     # positions 0 and 1.5: the second time is halfway between 2.0 and 3.0
     assert token_lags(log, doc) == [3.0, 1.5]
-    assert token_lags(log, doc, round_positions=True) == [3.0, 1.0]
 
 
 def test_lag_can_be_negative():
@@ -306,6 +307,27 @@ def test_report_round_trips_through_json(tmp_path, session_log):
         assert key in text
 
 
+_REPORT = {"bleu": 1.0, "tl": 2.0, "ne": 0.5, "erasure": [0, 1], "lags": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps({**_REPORT, "erasure": 5}), '"erasure" must be a list of integers'),
+        (json.dumps({**_REPORT, "erasure": [1.5]}), '"erasure" must be a list of integers'),
+        (json.dumps({**_REPORT, "bleu": "x"}), '"bleu" must be a number'),
+        (json.dumps({**_REPORT, "ne": True}), '"ne" must be a number'),
+        (json.dumps({**_REPORT, "lags": ["1"]}), '"lags" must be a list of numbers'),
+        ('{"bleu": 1,', "not valid JSON"),
+    ],
+)
+def test_load_report_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_report(path)
+
+
 # ---------------------------------------------------------------------------
 # Reference document I/O
 
@@ -338,4 +360,16 @@ def test_reference_document_load_errors(tmp_path):
         load_reference_document(path)
     path.write_text('{"src": [{"w": "a"}], "ref": "x"}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
+        load_reference_document(path)
+    path.write_text('{"src": [{"w": "a b", "time": 1}], "ref": "x"}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: token must be non-empty")):
+        load_reference_document(path)
+    path.write_text(
+        '{"src": [{"w": "a", "time": 2}], "ref": "x"}\n{"src": [{"w": "b", "time": 1}], "ref": "y"}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: source token times must be non-decreasing")):
+        load_reference_document(path)
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: a reference document needs at least one segment")):
         load_reference_document(path)

@@ -74,6 +74,8 @@ def test_step_rejects_time_regression(greedy_config):
     state, _ = step(state, [TimedToken("y", 2.0)], END_MODEL, greedy_config)
     with pytest.raises(ValueError):
         step(state, [TimedToken("y", 1.0)], END_MODEL, greedy_config)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        step(state, [TimedToken("y", 3.0), TimedToken("y", 2.5)], END_MODEL, greedy_config)
 
 
 def test_completed_sentence_is_translated_with_end_context(greedy_config):
