@@ -260,6 +260,13 @@ def _parse_grid_ints(text: str) -> list[int]:
     return values
 
 
+def _parse_ne_ceiling(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:  # also false for nan
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _cmd_ingest_captions(args: argparse.Namespace) -> int:
     transcript = ingest_captions(load_caption_cues(args.cues))
     save_transcript(transcript, args.out)
@@ -362,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--beam", required=True, type=int, help="beam size")
     grid.add_argument(
         "--ne-ceiling",
-        type=float,
+        type=_parse_ne_ceiling,
         default=None,
         help="only rows with normalized erasure at or below this enter the Pareto subset",
     )

@@ -95,6 +95,11 @@ class EventLog:
         return self.events[index]
 
 
+def is_json_number(value: object) -> bool:
+    """Whether a decoded JSON value is a number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_change(last: Event | None, event: Event) -> bool:
     """Whether ``event`` extends a log ending in ``last``: false for a
     repeat of the last (source, output) state; a clock regression raises
@@ -116,7 +121,11 @@ def append_event(log: EventLog, event: Event) -> EventLog:
     """
     if not _is_change(log.events[-1] if log.events else None, event):
         return log
-    return EventLog(log.events + (event,))
+    # ``log`` holds the invariants and ``event`` was checked against its
+    # last event: validating the whole prefix again would make replay quadratic.
+    grown = object.__new__(EventLog)
+    object.__setattr__(grown, "events", log.events + (event,))
+    return grown
 
 
 def format_seconds(value: float) -> str:
@@ -163,7 +172,7 @@ def load_event_log(path: str | Path) -> EventLog:
                 raise ValueError(
                     f'{path}: line {lineno}: expected an object with keys "t", "src", "out"'
                 )
-            if not isinstance(record["t"], (int, float)) or isinstance(record["t"], bool):
+            if not is_json_number(record["t"]):
                 raise ValueError(f"{path}: line {lineno}: \"t\" must be a number")
             if not isinstance(record["src"], str) or not isinstance(record["out"], str):
                 raise ValueError(f"{path}: line {lineno}: \"src\" and \"out\" must be strings")

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
-from .eventlog import EventLog, TimedToken, format_seconds, tokenize
+from .eventlog import EventLog, TimedToken, format_seconds, is_json_number, tokenize
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,10 +77,6 @@ def save_reference_document(doc: ReferenceDocument, path: str | Path) -> None:
             handle.write('{"src": [%s], "ref": %s}\n' % (src, ref))
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def load_reference_document(path: str | Path) -> ReferenceDocument:
     segments: list[ReferenceSegment] = []
     last_time = 0.0
@@ -105,7 +101,7 @@ def load_reference_document(path: str | Path) -> ReferenceDocument:
                     )
                 if not isinstance(item["w"], str):
                     raise ValueError(f"{path}: line {lineno}: \"w\" must be a string")
-                if not _is_number(item["time"]):
+                if not is_json_number(item["time"]):
                     raise ValueError(f"{path}: line {lineno}: \"time\" must be a number")
                 try:
                     token = TimedToken(item["w"], float(item["time"]))
@@ -415,11 +411,11 @@ def load_report(path: str | Path) -> MetricsReport:
     if not isinstance(payload, dict) or set(payload) != {"bleu", "tl", "ne", "erasure", "lags"}:
         raise ValueError(f'{path}: expected an object with keys "bleu", "tl", "ne", "erasure", "lags"')
     for key in ("bleu", "tl", "ne"):
-        if not _is_number(payload[key]):
+        if not is_json_number(payload[key]):
             raise ValueError(f'{path}: "{key}" must be a number')
     if not isinstance(payload["erasure"], list) or not all(type(v) is int for v in payload["erasure"]):
         raise ValueError(f'{path}: "erasure" must be a list of integers')
-    if not isinstance(payload["lags"], list) or not all(_is_number(v) for v in payload["lags"]):
+    if not isinstance(payload["lags"], list) or not all(is_json_number(v) for v in payload["lags"]):
         raise ValueError(f'{path}: "lags" must be a list of numbers')
     return MetricsReport(
         bleu=float(payload["bleu"]),

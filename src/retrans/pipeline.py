@@ -9,17 +9,21 @@ translations followed by the masked translation of the live sentence, and
 every feed of new tokens appends one event to the session log, stamped
 with the time the last fed token was spoken (plus a constant processing
 delay if configured).
+Each event's texts extend the running source and frozen-display strings
+the state carries, so a step costs what its new tokens and the live
+sentence cost, not what the whole session so far costs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 from .decoder import DecoderConfig, ScoringModel, biased_beam_search, mask_tail
-from .eventlog import Event, EventLog, TimedToken, append_event, format_seconds
+from .eventlog import Event, EventLog, TimedToken, append_event, format_seconds, is_json_number
 
 _SENTENCE_FINAL = (".", "!", "?")
 
@@ -64,7 +68,7 @@ def load_transcript(path: str | Path) -> TimedTranscript:
                 raise ValueError(f'{path}: line {lineno}: expected an object with keys "w", "time"')
             if not isinstance(record["w"], str):
                 raise ValueError(f"{path}: line {lineno}: \"w\" must be a string")
-            if not isinstance(record["time"], (int, float)) or isinstance(record["time"], bool):
+            if not is_json_number(record["time"]):
                 raise ValueError(f"{path}: line {lineno}: \"time\" must be a number")
             try:
                 token = TimedToken(record["w"], float(record["time"]))
@@ -97,14 +101,21 @@ def split_sentences(tokens: Sequence[str]) -> tuple[list[list[str]], bool]:
 class SessionState:
     """Everything the simulator carries between feeds.
 
-    ``frozen_translations`` holds one finished translation per completed
-    sentence, in order.  ``live_translation`` is the masked translation of
-    the incomplete last sentence, exactly as displayed.
+    ``words`` are the source words fed so far and ``last_time`` the time of
+    the last of them (0.0 before the first feed).  ``source_text`` is
+    ``words`` joined by single spaces, and ``frozen_text`` is every frozen
+    translation token followed by one space: the running texts each event
+    extends.  ``frozen_translations`` holds one finished translation per
+    completed sentence, in order.  ``live_translation`` is the masked
+    translation of the incomplete last sentence, exactly as displayed.
     ``previous_unmasked`` is that sentence's latest unmasked translation,
     kept as the bias target for its next retranslation.
     """
 
-    transcript: tuple[TimedToken, ...] = ()
+    words: tuple[str, ...] = ()
+    last_time: float = 0.0
+    source_text: str = ""
+    frozen_text: str = ""
     frozen_translations: tuple[tuple[str, ...], ...] = ()
     live_translation: tuple[str, ...] = ()
     previous_unmasked: tuple[str, ...] = ()
@@ -135,18 +146,19 @@ def step(
     new_tokens = TimedTranscript(tuple(new_tokens)).tokens
     if not new_tokens:
         raise ValueError("step needs at least one new token")
-    if state.transcript and new_tokens[0].time < state.transcript[-1].time:
+    if new_tokens[0].time < state.last_time:
         raise ValueError("new tokens must not precede the transcript seen so far")
 
-    transcript = state.transcript + new_tokens
-    words = [tok.token for tok in transcript]
+    fed = tuple(tok.token for tok in new_tokens)
+    words = state.words + fed
     sentences, last_complete = split_sentences(words)
 
-    frozen = list(state.frozen_translations)
+    frozen = state.frozen_translations
+    frozen_text = state.frozen_text
     live_index = len(frozen)  # the sentence state.previous_unmasked belongs to
     live: tuple[str, ...] = ()
     previous_unmasked: tuple[str, ...] = ()
-    for index in range(len(frozen), len(sentences)):
+    for index in range(live_index, len(sentences)):
         sentence = sentences[index]
         complete = last_complete or index < len(sentences) - 1
         bias_target = state.previous_unmasked if index == live_index else ()
@@ -157,18 +169,18 @@ def step(
             replace(config, previous_translation=bias_target),
         )
         if complete:
-            frozen.append(translated)
+            frozen += (translated,)
+            frozen_text += "".join(token + " " for token in translated)
         else:
             previous_unmasked = translated
             live = mask_tail(translated, config.mask_length, source_complete=False)
 
-    next_state = SessionState(transcript, tuple(frozen), live, previous_unmasked)
-    event = Event(
-        new_tokens[-1].time + delay,
-        " ".join(words),
-        " ".join(next_state.displayed_tokens()),
-    )
-    return next_state, event
+    joined = " ".join(fed)
+    source_text = f"{state.source_text} {joined}" if state.source_text else joined
+    output_text = frozen_text + " ".join(live) if live else frozen_text[:-1]
+    time = new_tokens[-1].time
+    next_state = SessionState(words, time, source_text, frozen_text, frozen, live, previous_unmasked)
+    return next_state, Event(time + delay, source_text, output_text)
 
 
 def run_simulation(
@@ -186,8 +198,8 @@ def run_simulation(
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if delay < 0.0:
-        raise ValueError(f"delay must be >= 0, got {delay!r}")
+    if not math.isfinite(delay) or delay < 0.0:
+        raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
     log = EventLog()
     state = SessionState()
     for start in range(0, len(transcript.tokens), chunk_size):

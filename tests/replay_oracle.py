@@ -1,0 +1,101 @@
+"""The session replay that rebuilds everything on every event, kept as the
+oracle for the running-text replay in :mod:`retrans.pipeline` and the
+prefix-trusting :func:`retrans.eventlog.append_event`.
+
+Each step re-joins every source word and every frozen token, and each
+append builds the grown log through the validating ``EventLog``
+constructor.  Slow (quadratic in the session), but obviously right.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+from retrans.decoder import DecoderConfig, ScoringModel, biased_beam_search, mask_tail
+from retrans.eventlog import Event, EventLog, TimedToken, _is_change
+from retrans.pipeline import TimedTranscript, split_sentences
+
+
+def append_event(log: EventLog, event: Event) -> EventLog:
+    if not _is_change(log.events[-1] if log.events else None, event):
+        return log
+    return EventLog(log.events + (event,))
+
+
+@dataclass(frozen=True, slots=True)
+class SessionState:
+    transcript: tuple[TimedToken, ...] = ()
+    frozen_translations: tuple[tuple[str, ...], ...] = ()
+    live_translation: tuple[str, ...] = ()
+    previous_unmasked: tuple[str, ...] = ()
+
+    def displayed_tokens(self) -> list[str]:
+        shown = [token for sentence in self.frozen_translations for token in sentence]
+        shown.extend(self.live_translation)
+        return shown
+
+
+def step(
+    state: SessionState,
+    new_tokens: Sequence[TimedToken],
+    model: ScoringModel,
+    config: DecoderConfig,
+    delay: float = 0.0,
+) -> tuple[SessionState, Event]:
+    new_tokens = TimedTranscript(tuple(new_tokens)).tokens
+    if not new_tokens:
+        raise ValueError("step needs at least one new token")
+    if state.transcript and new_tokens[0].time < state.transcript[-1].time:
+        raise ValueError("new tokens must not precede the transcript seen so far")
+
+    transcript = state.transcript + new_tokens
+    words = [tok.token for tok in transcript]
+    sentences, last_complete = split_sentences(words)
+
+    frozen = list(state.frozen_translations)
+    live_index = len(frozen)
+    live: tuple[str, ...] = ()
+    previous_unmasked: tuple[str, ...] = ()
+    for index in range(len(frozen), len(sentences)):
+        sentence = sentences[index]
+        complete = last_complete or index < len(sentences) - 1
+        bias_target = state.previous_unmasked if index == live_index else ()
+        translated = biased_beam_search(
+            model,
+            sentence,
+            complete,
+            replace(config, previous_translation=bias_target),
+        )
+        if complete:
+            frozen.append(translated)
+        else:
+            previous_unmasked = translated
+            live = mask_tail(translated, config.mask_length, source_complete=False)
+
+    next_state = SessionState(transcript, tuple(frozen), live, previous_unmasked)
+    event = Event(
+        new_tokens[-1].time + delay,
+        " ".join(words),
+        " ".join(next_state.displayed_tokens()),
+    )
+    return next_state, event
+
+
+def run_simulation(
+    transcript: TimedTranscript,
+    model: ScoringModel,
+    config: DecoderConfig,
+    chunk_size: int = 1,
+    delay: float = 0.0,
+) -> EventLog:
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if delay < 0.0:
+        raise ValueError(f"delay must be >= 0, got {delay!r}")
+    log = EventLog()
+    state = SessionState()
+    for start in range(0, len(transcript.tokens), chunk_size):
+        state, event = step(state, transcript.tokens[start:start + chunk_size], model, config, delay)
+        log = append_event(log, event)
+    return log

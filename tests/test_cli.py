@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import math
 import random
 import shutil
 
@@ -19,6 +21,7 @@ from retrans.cli import (
     SweepRow,
     _parse_grid_floats,
     _parse_grid_ints,
+    _parse_ne_ceiling,
     _pareto_path,
     ingest_captions,
     load_caption_cues,
@@ -349,6 +352,55 @@ def test_commands_report_errors_on_stderr(tmp_path, capsys):
         ]
     ) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_simulate_rejects_a_non_finite_delay(tmp_path, capsys):
+    out = tmp_path / "events.jsonl"
+    code = main(
+        [
+            "simulate",
+            "--model", str(TOY_DIR / "model.tsv"),
+            "--transcript", str(TOY_DIR / "transcripts" / "news.jsonl"),
+            "--beta", "0",
+            "--k", "0",
+            "--beam", "2",
+            "--delay", "nan",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: delay must be finite and >= 0, got nan\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ceiling", ["nan", "-0.1", "abc"])
+def test_sweep_rejects_a_bad_ne_ceiling_before_running(tmp_path, capsys, ceiling):
+    out = tmp_path / "grid.csv"
+    argv = [
+        "sweep",
+        "--model", str(TOY_DIR / "model.tsv"),
+        "--transcripts", str(TOY_DIR / "transcripts"),
+        "--references", str(TOY_DIR / "references"),
+        "--betas", "0",
+        "--ks", "0",
+        "--beam", "2",
+        "--ne-ceiling", ceiling,
+        "--out", str(out),
+    ]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "--ne-ceiling" in capsys.readouterr().err
+    assert not out.exists() and not _pareto_path(out).exists()
+
+
+def test_ne_ceiling_parser():
+    assert _parse_ne_ceiling("0") == 0.0
+    assert _parse_ne_ceiling("0.25") == 0.25
+    assert _parse_ne_ceiling("inf") == math.inf
+    for bad in ("nan", "-inf", "-1e-9"):
+        with pytest.raises(argparse.ArgumentTypeError, match="expected a number >= 0"):
+            _parse_ne_ceiling(bad)
 
 
 def test_usage_errors_exit_with_argparse_code():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from retrans import Event, EventLog, append_event, load_event_log, save_event_log, tokenize
 from retrans.eventlog import format_seconds
 
+import replay_oracle
 from conftest import build_log
 
 
@@ -60,6 +61,46 @@ def test_eventlog_constructor_checks_invariants():
         EventLog((Event(2.0, "a", "x"), Event(1.0, "b", "y")))
     with pytest.raises(ValueError):
         EventLog((Event(1.0, "a", "x"), Event(2.0, "a", "x")))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=8),
+            st.sampled_from(["", "a", "a b"]),
+            st.sampled_from(["", "x"]),
+        ),
+        max_size=14,
+    )
+)
+def test_append_keeps_what_the_validating_constructor_keeps(records):
+    # Small clocks and texts make repeats and regressions common.  Folding
+    # append_event must keep the events the validating fold keeps, and fail
+    # at the same event with the same message.
+    events = [Event(tenths / 10.0, src, out) for tenths, src, out in records]
+    log, oracle_log = EventLog(), EventLog()
+    kept = []
+    for event in events:
+        try:
+            oracle_log = replay_oracle.append_event(oracle_log, event)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                append_event(log, event)
+            assert str(excinfo.value) == str(exc)
+            break
+        log = append_event(log, event)
+        if not kept or event.state() != kept[-1].state():
+            kept.append(event)
+        assert log == oracle_log == EventLog(tuple(kept))
+    # Passed directly, a tuple with a repeat or a regression still fails.
+    bad = any(
+        cur.time < prev.time or cur.state() == prev.state() for prev, cur in zip(events, events[1:])
+    )
+    if bad:
+        with pytest.raises(ValueError):
+            EventLog(tuple(events))
+    else:
+        assert EventLog(tuple(events)).events == tuple(events)
 
 
 def test_format_seconds_three_decimals_max():

@@ -3,12 +3,14 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import replay_oracle
 from retrans import (
     ANY_CONTEXT,
     DecoderConfig,
     END_OF_SOURCE,
+    EOS_TOKEN,
     SessionState,
     TableModel,
     TimedToken,
@@ -16,6 +18,7 @@ from retrans import (
     load_transcript,
     normalized_erasure,
     run_simulation,
+    save_event_log,
     save_transcript,
     split_sentences,
     step,
@@ -180,6 +183,9 @@ def test_run_simulation_validates_options(toy_model, greedy_config):
         run_simulation(transcript, toy_model, greedy_config, chunk_size=0)
     with pytest.raises(ValueError):
         run_simulation(transcript, toy_model, greedy_config, delay=-0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"delay must be finite and >= 0, got {bad!r}"):
+            run_simulation(transcript, toy_model, greedy_config, delay=bad)
 
 
 def test_full_bias_never_erases(toy_model, toy_documents):
@@ -194,6 +200,92 @@ def test_deep_mask_never_erases(toy_model, toy_documents):
     for _, transcript, _ in toy_documents:
         log = run_simulation(transcript, toy_model, config)
         assert normalized_erasure(log) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the running-text replay against the rebuilding one
+
+_SOURCE_WORDS = ("a", "b", "c", "a.", "b?", "c!")
+_CONTEXTS = (ANY_CONTEXT, END_OF_SOURCE, "a", "b", "c", "a.")
+# "" and EOS_TOKEN make empty tokens and empty or short translations.
+_TARGETS = ("X", "Y", "Z.", "W", "", EOS_TOKEN)
+_DISTRIBUTIONS = ((1.0,), (0.5, 0.5), (0.75, 0.25))
+
+
+@st.composite
+def table_models(draw):
+    entries = {}
+    # Words left out of the table translate to themselves.
+    for word in draw(st.lists(st.sampled_from(_SOURCE_WORDS), unique=True)):
+        extra = draw(st.lists(st.sampled_from(_CONTEXTS[1:]), max_size=2, unique=True))
+        for context in [ANY_CONTEXT, *extra]:
+            probs = draw(st.sampled_from(_DISTRIBUTIONS))
+            targets = draw(
+                st.lists(st.sampled_from(_TARGETS), min_size=len(probs), max_size=len(probs), unique=True)
+            )
+            entries[(word, context)] = tuple(zip(targets, probs))
+    return TableModel(entries)
+
+
+def assert_replays_agree(tmp_path, transcript, model, config, chunk_size, delay):
+    """Step both replays side by side, compare every state and event, then
+    compare the saved logs of both ``run_simulation`` byte for byte."""
+    state, oracle_state = SessionState(), replay_oracle.SessionState()
+    for start in range(0, len(transcript.tokens), chunk_size):
+        feed = transcript.tokens[start:start + chunk_size]
+        state, event = step(state, feed, model, config, delay)
+        oracle_state, oracle_event = replay_oracle.step(oracle_state, feed, model, config, delay)
+        assert event == oracle_event
+        assert state.frozen_translations == oracle_state.frozen_translations
+        assert state.live_translation == oracle_state.live_translation
+        assert state.previous_unmasked == oracle_state.previous_unmasked
+        assert state.displayed_tokens() == oracle_state.displayed_tokens()
+    save_event_log(run_simulation(transcript, model, config, chunk_size, delay), tmp_path / "new.jsonl")
+    save_event_log(
+        replay_oracle.run_simulation(transcript, model, config, chunk_size, delay), tmp_path / "old.jsonl"
+    )
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=table_models(),
+    feed=st.lists(
+        st.tuples(st.sampled_from(_SOURCE_WORDS), st.integers(min_value=0, max_value=1500)),
+        max_size=24,
+    ),
+    chunk_size=st.sampled_from([1, 2, 3, 5]),
+    delay=st.sampled_from([0.0, 0.25, 1.5]),
+    bias_weight=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    mask_length=st.sampled_from([0, 1, 2, 5]),
+    beam_size=st.integers(min_value=1, max_value=3),
+)
+def test_replay_matches_the_rebuilding_oracle(
+    tmp_path_factory, model, feed, chunk_size, delay, bias_weight, mask_length, beam_size
+):
+    clock = 0.0
+    tokens = []
+    for word, millis in feed:
+        clock += millis / 1000.0
+        tokens.append(TimedToken(word, clock))
+    config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight, mask_length=mask_length)
+    tmp_path = tmp_path_factory.mktemp("replay")
+    assert_replays_agree(tmp_path, TimedTranscript(tuple(tokens)), model, config, chunk_size, delay)
+
+
+def test_replay_matches_the_oracle_on_a_toy_talk(tmp_path, toy_model, toy_documents):
+    # The toy documents back to back, 1 s apart, twice: a talk of short sentences.
+    tokens = []
+    offset = 0.0
+    for _ in range(2):
+        for _, transcript, _ in toy_documents:
+            tokens.extend(TimedToken(tok.token, tok.time + offset) for tok in transcript.tokens)
+            offset = tokens[-1].time + 1.0
+    talk = TimedTranscript(tuple(tokens))
+    settings_grid = [(4, 0.0, 0, 1, 0.0), (2, 0.5, 2, 1, 0.0), (3, 1.0, 5, 3, 0.5), (1, 0.25, 1, 5, 2.0)]
+    for beam_size, bias_weight, mask_length, chunk_size, delay in settings_grid:
+        config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight, mask_length=mask_length)
+        assert_replays_agree(tmp_path, talk, toy_model, config, chunk_size, delay)
 
 
 # ---------------------------------------------------------------------------
