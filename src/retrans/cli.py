@@ -176,7 +176,10 @@ def pareto_subset(rows: Sequence[SweepRow], erasure_ceiling: float | None = None
     """Rows not dominated in (BLEU up, lag down), among those whose
     normalized erasure stays within ``erasure_ceiling`` (no ceiling: all
     rows are eligible).  Input order is preserved; rows with identical BLEU
-    and lag do not dominate each other."""
+    and lag do not dominate each other.  A ceiling that is not a number
+    >= 0 raises ``ValueError``."""
+    if erasure_ceiling is not None and not erasure_ceiling >= 0.0:  # also true for nan
+        raise ValueError(f"erasure_ceiling must be a number >= 0, got {erasure_ceiling!r}")
     eligible = [
         row
         for row in rows

@@ -25,13 +25,9 @@ ANY_CONTEXT = "∗"  # context marker: the next source word is unknown or unlist
 
 
 class ScoringModel(Protocol):
-    """What the search needs from a model: a finite vocabulary including
-    :data:`EOS_TOKEN`, and a next-token distribution that depends only on
-    the source, its completeness, and the target prefix."""
-
-    @property
-    def vocabulary(self) -> frozenset[str]:
-        ...
+    """What the search needs from a model: a next-token distribution,
+    possibly including :data:`EOS_TOKEN`, that depends only on the source,
+    its completeness, and the target prefix."""
 
     def next_distribution(
         self, source: Sequence[str], source_complete: bool, prefix: Sequence[str]
@@ -70,11 +66,6 @@ class TableModel:
                 )
             if any(p <= 0.0 for _, p in dist):
                 raise ValueError(f"probabilities for ({word!r}, {ctx!r}) must be positive")
-
-    @property
-    def vocabulary(self) -> frozenset[str]:
-        targets = {target for dist in self.entries.values() for target, _ in dist}
-        return frozenset(targets | {EOS_TOKEN})
 
     def next_distribution(
         self, source: Sequence[str], source_complete: bool, prefix: Sequence[str]

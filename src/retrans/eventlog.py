@@ -100,6 +100,39 @@ def is_json_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def jsonl_records(path: str | Path, *keys: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL
+    file.  A line that is not JSON, or not an object with exactly ``keys``,
+    raises ``ValueError`` naming the file and line."""
+    wanted = set(keys)
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not valid JSON: {exc}") from None
+            if not isinstance(record, dict) or set(record) != wanted:
+                expected = ", ".join(f'"{key}"' for key in keys)
+                raise ValueError(f"{path}: line {lineno}: expected an object with keys {expected}")
+            yield lineno, record
+
+
+def parse_timed_token(item: dict, path: str | Path, lineno: int) -> TimedToken:
+    """Build a :class:`TimedToken` from a decoded ``{"w", "time"}`` object
+    read from line ``lineno`` of ``path``, which errors name."""
+    if not isinstance(item["w"], str):
+        raise ValueError(f'{path}: line {lineno}: "w" must be a string')
+    if not is_json_number(item["time"]):
+        raise ValueError(f'{path}: line {lineno}: "time" must be a number')
+    try:
+        return TimedToken(item["w"], float(item["time"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+
 def _is_change(last: Event | None, event: Event) -> bool:
     """Whether ``event`` extends a log ending in ``last``: false for a
     repeat of the last (source, output) state; a clock regression raises
@@ -159,27 +192,15 @@ def load_event_log(path: str | Path) -> EventLog:
     long as the input was itself in canonical form.
     """
     events: list[Event] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: not valid JSON: {exc}") from None
-            if not isinstance(record, dict) or set(record) != {"t", "src", "out"}:
-                raise ValueError(
-                    f'{path}: line {lineno}: expected an object with keys "t", "src", "out"'
-                )
-            if not is_json_number(record["t"]):
-                raise ValueError(f"{path}: line {lineno}: \"t\" must be a number")
-            if not isinstance(record["src"], str) or not isinstance(record["out"], str):
-                raise ValueError(f"{path}: line {lineno}: \"src\" and \"out\" must be strings")
-            try:
-                event = Event(float(record["t"]), record["src"], record["out"])
-                if _is_change(events[-1] if events else None, event):
-                    events.append(event)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, record in jsonl_records(path, "t", "src", "out"):
+        if not is_json_number(record["t"]):
+            raise ValueError(f"{path}: line {lineno}: \"t\" must be a number")
+        if not isinstance(record["src"], str) or not isinstance(record["out"], str):
+            raise ValueError(f"{path}: line {lineno}: \"src\" and \"out\" must be strings")
+        try:
+            event = Event(float(record["t"]), record["src"], record["out"])
+            if _is_change(events[-1] if events else None, event):
+                events.append(event)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return EventLog(tuple(events))

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
-from .eventlog import EventLog, TimedToken, format_seconds, is_json_number, tokenize
+from .eventlog import EventLog, TimedToken, format_seconds, is_json_number, jsonl_records, parse_timed_token, tokenize
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,41 +80,22 @@ def save_reference_document(doc: ReferenceDocument, path: str | Path) -> None:
 def load_reference_document(path: str | Path) -> ReferenceDocument:
     segments: list[ReferenceSegment] = []
     last_time = 0.0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: not valid JSON: {exc}") from None
-            if not isinstance(record, dict) or set(record) != {"src", "ref"}:
-                raise ValueError(f'{path}: line {lineno}: expected an object with keys "src", "ref"')
-            if not isinstance(record["src"], list) or not isinstance(record["ref"], str):
-                raise ValueError(f"{path}: line {lineno}: \"src\" must be a list and \"ref\" a string")
-            tokens = []
-            for item in record["src"]:
-                if not isinstance(item, dict) or set(item) != {"w", "time"}:
-                    raise ValueError(
-                        f'{path}: line {lineno}: source entries need exactly the keys "w", "time"'
-                    )
-                if not isinstance(item["w"], str):
-                    raise ValueError(f"{path}: line {lineno}: \"w\" must be a string")
-                if not is_json_number(item["time"]):
-                    raise ValueError(f"{path}: line {lineno}: \"time\" must be a number")
-                try:
-                    token = TimedToken(item["w"], float(item["time"]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
-                if token.time < last_time:
-                    raise ValueError(f"{path}: line {lineno}: source token times must be non-decreasing")
-                last_time = token.time
-                tokens.append(token)
-            try:
-                segments.append(ReferenceSegment(tuple(tokens), record["ref"]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, record in jsonl_records(path, "src", "ref"):
+        if not isinstance(record["src"], list) or not isinstance(record["ref"], str):
+            raise ValueError(f'{path}: line {lineno}: "src" must be a list and "ref" a string')
+        tokens = []
+        for item in record["src"]:
+            if not isinstance(item, dict) or set(item) != {"w", "time"}:
+                raise ValueError(f'{path}: line {lineno}: source entries need exactly the keys "w", "time"')
+            token = parse_timed_token(item, path, lineno)
+            if token.time < last_time:
+                raise ValueError(f"{path}: line {lineno}: source token times must be non-decreasing")
+            last_time = token.time
+            tokens.append(token)
+        try:
+            segments.append(ReferenceSegment(tuple(tokens), record["ref"]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     try:
         return ReferenceDocument(tuple(segments))
     except ValueError as exc:
@@ -158,18 +139,10 @@ def _per_final_token(log: EventLog, retracted: Sequence[int]) -> float:
 # Latency
 
 
-@dataclass(frozen=True, slots=True)
-class FinalizationMap:
-    """For each token of the final translation (by position), the 1-based
-    index and timestamp of the event where it stopped changing."""
-
-    event_indices: tuple[int, ...]
-    times: tuple[float, ...]
-
-
-def finalization(log: EventLog) -> FinalizationMap:
-    """Earliest event from which each final-output token was both present
-    and never changed again, position by position.
+def finalization(log: EventLog) -> tuple[int, ...]:
+    """For each token of the final translation, by position, the 1-based
+    index of the earliest event from which it was present and never
+    changed again.  Its finalization time is that event's time.
 
     A token counts as changed while it is absent, so a token that flickers
     out and back in is finalized only by its last reappearance.
@@ -186,44 +159,19 @@ def finalization(log: EventLog) -> FinalizationMap:
         while agree[event] < position:
             event += 1
         indices.append(event + 1)
-    times = tuple(log.events[i - 1].time for i in indices)
-    return FinalizationMap(tuple(indices), times)
+    return tuple(indices)
 
 
-@dataclass(frozen=True, slots=True)
-class TokenCorrespondence:
-    """Where one final-output token points back into the timed source.
-
-    ``output_start``/``output_len`` describe the output segment the token
-    sits in, ``source_start``/``source_len`` the paired source segment, all
-    as 0-based positions counted across the whole document.
-    ``source_position`` is the (possibly fractional) source position the
-    token corresponds to, clamped to its segment.
-    """
-
-    segment_index: int
-    output_start: int
-    output_len: int
-    source_start: int
-    source_len: int
-    source_position: float
-
-
-@dataclass(frozen=True, slots=True)
-class CorrespondenceMap:
-    """Per-token source correspondences for the final translation, indexed
-    by output token position."""
-
-    tokens: tuple[TokenCorrespondence, ...]
-
-
-def correspondence(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> CorrespondenceMap:
-    """Map each final-output token to a source position.
+def correspondence(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> tuple[float, ...]:
+    """For each token of the final translation, by position, the (possibly
+    fractional) 0-based source position it corresponds to, counted across
+    the whole document.
 
     In the default "segment" mode the final translation is first split
     against the reference segments (same segmentation that scoring uses);
     a token at offset ``d`` inside an output segment of length ``n`` points
-    at offset ``d * source_len / n`` inside the paired source segment.
+    at offset ``d * source_len / n`` inside the paired source segment,
+    clamped to that segment.
 
     Mode "document" is a diagnostic alternative that skips segmentation and
     scales positions document-wide: token ``j`` of the final output points
@@ -237,39 +185,24 @@ def correspondence(log: EventLog, doc: ReferenceDocument, mode: str = "segment")
 
     if mode == "document":
         source_len = len(tokenize(final.source_text))
-        timed_len = len(doc.source_times())
         if hyp and source_len == 0:
             raise ValueError("document mode needs a non-empty final source")
-        records = []
-        for j in range(len(hyp)):
-            position = j * source_len / len(hyp)
-            position = min(max(position, 0.0), float(min(source_len, timed_len) - 1))
-            records.append(
-                TokenCorrespondence(-1, 0, len(hyp), 0, source_len, position)
-            )
-        return CorrespondenceMap(tuple(records))
+        last = float(min(source_len, len(doc.source_times())) - 1)
+        return tuple(min(max(j * source_len / len(hyp), 0.0), last) for j in range(len(hyp)))
     if mode != "segment":
         raise ValueError(f'correspondence mode must be "segment" or "document", got {mode!r}')
 
     refs = doc.reference_token_segments()
     pieces = split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries)
-    source_lens = [len(seg.source_tokens) for seg in doc.segments]
-
-    records = []
-    output_start = 0
+    positions = []
     source_start = 0
-    for index, piece in enumerate(pieces):
-        piece_len = len(piece)
-        src_len = source_lens[index]
-        for j in range(output_start, output_start + piece_len):
-            position = (j - output_start) * src_len / piece_len + source_start
-            position = min(max(position, float(source_start)), float(source_start + src_len - 1))
-            records.append(
-                TokenCorrespondence(index, output_start, piece_len, source_start, src_len, position)
-            )
-        output_start += piece_len
+    for piece, segment in zip(pieces, doc.segments):
+        src_len = len(segment.source_tokens)
+        for offset in range(len(piece)):
+            position = offset * src_len / len(piece) + source_start
+            positions.append(min(max(position, float(source_start)), float(source_start + src_len - 1)))
         source_start += src_len
-    return CorrespondenceMap(tuple(records))
+    return tuple(positions)
 
 
 def _time_at(times: Sequence[float], position: float) -> float:
@@ -294,12 +227,12 @@ def token_lags(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> 
         raise ValueError("lag needs at least one event")
     if not tokenize(log.events[-1].output_text):
         raise ValueError("lag is undefined for an empty final translation")
-    fin = finalization(log)
-    cmap = correspondence(log, doc, mode=mode)
+    indices = finalization(log)
+    positions = correspondence(log, doc, mode=mode)
     times = doc.source_times()
     return [
-        fin.times[j] - _time_at(times, record.source_position)
-        for j, record in enumerate(cmap.tokens)
+        log.events[i - 1].time - _time_at(times, position)
+        for i, position in zip(indices, positions)
     ]
 
 

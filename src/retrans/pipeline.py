@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .decoder import DecoderConfig, ScoringModel, biased_beam_search, mask_tail
-from .eventlog import Event, EventLog, TimedToken, append_event, format_seconds, is_json_number
+from .eventlog import Event, EventLog, TimedToken, append_event, format_seconds, jsonl_records, parse_timed_token
 
 _SENTENCE_FINAL = (".", "!", "?")
 
@@ -55,28 +55,11 @@ def save_transcript(transcript: TimedTranscript, path: str | Path) -> None:
 
 def load_transcript(path: str | Path) -> TimedTranscript:
     tokens = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: not valid JSON: {exc}") from None
-            if not isinstance(record, dict) or set(record) != {"w", "time"}:
-                raise ValueError(f'{path}: line {lineno}: expected an object with keys "w", "time"')
-            if not isinstance(record["w"], str):
-                raise ValueError(f"{path}: line {lineno}: \"w\" must be a string")
-            if not is_json_number(record["time"]):
-                raise ValueError(f"{path}: line {lineno}: \"time\" must be a number")
-            try:
-                token = TimedToken(record["w"], float(record["time"]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if tokens and token.time < tokens[-1].time:
-                raise ValueError(f"{path}: line {lineno}: transcript times must be non-decreasing")
-            tokens.append(token)
+    for lineno, record in jsonl_records(path, "w", "time"):
+        token = parse_timed_token(record, path, lineno)
+        if tokens and token.time < tokens[-1].time:
+            raise ValueError(f"{path}: line {lineno}: transcript times must be non-decreasing")
+        tokens.append(token)
     return TimedTranscript(tuple(tokens))
 
 
@@ -99,17 +82,17 @@ def split_sentences(tokens: Sequence[str]) -> tuple[list[list[str]], bool]:
 
 @dataclass(frozen=True, slots=True)
 class SessionState:
-    """Everything the simulator carries between feeds.
+    """What the next :func:`step` reads.
 
     ``words`` are the source words fed so far and ``last_time`` the time of
     the last of them (0.0 before the first feed).  ``source_text`` is
     ``words`` joined by single spaces, and ``frozen_text`` is every frozen
     translation token followed by one space: the running texts each event
     extends.  ``frozen_translations`` holds one finished translation per
-    completed sentence, in order.  ``live_translation`` is the masked
-    translation of the incomplete last sentence, exactly as displayed.
-    ``previous_unmasked`` is that sentence's latest unmasked translation,
-    kept as the bias target for its next retranslation.
+    completed sentence, in order.  ``previous_unmasked`` is the incomplete
+    last sentence's latest unmasked translation, kept as the bias target
+    for its next retranslation.  What the viewer saw is the event's
+    ``output_text``.
     """
 
     words: tuple[str, ...] = ()
@@ -117,13 +100,7 @@ class SessionState:
     source_text: str = ""
     frozen_text: str = ""
     frozen_translations: tuple[tuple[str, ...], ...] = ()
-    live_translation: tuple[str, ...] = ()
     previous_unmasked: tuple[str, ...] = ()
-
-    def displayed_tokens(self) -> list[str]:
-        shown = [token for sentence in self.frozen_translations for token in sentence]
-        shown.extend(self.live_translation)
-        return shown
 
 
 def step(
@@ -179,7 +156,7 @@ def step(
     source_text = f"{state.source_text} {joined}" if state.source_text else joined
     output_text = frozen_text + " ".join(live) if live else frozen_text[:-1]
     time = new_tokens[-1].time
-    next_state = SessionState(words, time, source_text, frozen_text, frozen, live, previous_unmasked)
+    next_state = SessionState(words, time, source_text, frozen_text, frozen, previous_unmasked)
     return next_state, Event(time + delay, source_text, output_text)
 
 

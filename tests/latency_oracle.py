@@ -1,0 +1,120 @@
+"""The record-based translation lag, kept as the oracle for the per-token
+sequences :mod:`retrans.metrics` computes lag from.
+
+Finalization returns each final token's event index and time, and
+correspondence returns one six-field record per final token, of which lag
+reads only the source position.  Both modes fill the records as they did.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+from retrans.align import lcp_len, mwer_segment, split_by_boundaries
+from retrans.eventlog import EventLog, tokenize
+from retrans.metrics import ReferenceDocument
+
+
+@dataclass(frozen=True, slots=True)
+class FinalizationMap:
+    event_indices: tuple[int, ...]
+    times: tuple[float, ...]
+
+
+def finalization(log: EventLog) -> FinalizationMap:
+    if not log.events:
+        raise ValueError("finalization needs at least one event")
+    final_tokens = tokenize(log.events[-1].output_text)
+    agree = [lcp_len(tokenize(event.output_text), final_tokens) for event in log]
+    for i in range(len(agree) - 2, -1, -1):
+        agree[i] = min(agree[i], agree[i + 1])
+    indices = []
+    event = 0
+    for position in range(1, len(final_tokens) + 1):
+        while agree[event] < position:
+            event += 1
+        indices.append(event + 1)
+    times = tuple(log.events[i - 1].time for i in indices)
+    return FinalizationMap(tuple(indices), times)
+
+
+@dataclass(frozen=True, slots=True)
+class TokenCorrespondence:
+    segment_index: int
+    output_start: int
+    output_len: int
+    source_start: int
+    source_len: int
+    source_position: float
+
+
+@dataclass(frozen=True, slots=True)
+class CorrespondenceMap:
+    tokens: tuple[TokenCorrespondence, ...]
+
+
+def correspondence(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> CorrespondenceMap:
+    if not log.events:
+        raise ValueError("correspondence needs at least one event")
+    final = log.events[-1]
+    hyp = tokenize(final.output_text)
+
+    if mode == "document":
+        source_len = len(tokenize(final.source_text))
+        timed_len = len(doc.source_times())
+        if hyp and source_len == 0:
+            raise ValueError("document mode needs a non-empty final source")
+        records = []
+        for j in range(len(hyp)):
+            position = j * source_len / len(hyp)
+            position = min(max(position, 0.0), float(min(source_len, timed_len) - 1))
+            records.append(
+                TokenCorrespondence(-1, 0, len(hyp), 0, source_len, position)
+            )
+        return CorrespondenceMap(tuple(records))
+    if mode != "segment":
+        raise ValueError(f'correspondence mode must be "segment" or "document", got {mode!r}')
+
+    refs = doc.reference_token_segments()
+    pieces = split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries)
+    source_lens = [len(seg.source_tokens) for seg in doc.segments]
+
+    records = []
+    output_start = 0
+    source_start = 0
+    for index, piece in enumerate(pieces):
+        piece_len = len(piece)
+        src_len = source_lens[index]
+        for j in range(output_start, output_start + piece_len):
+            position = (j - output_start) * src_len / piece_len + source_start
+            position = min(max(position, float(source_start)), float(source_start + src_len - 1))
+            records.append(
+                TokenCorrespondence(index, output_start, piece_len, source_start, src_len, position)
+            )
+        output_start += piece_len
+        source_start += src_len
+    return CorrespondenceMap(tuple(records))
+
+
+def _time_at(times: Sequence[float], position: float) -> float:
+    base = int(math.floor(position))
+    frac = position - base
+    if frac == 0.0:
+        return times[base]
+    return times[base] * (1.0 - frac) + times[base + 1] * frac
+
+
+def token_lags(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> list[float]:
+    if not log.events:
+        raise ValueError("lag needs at least one event")
+    if not tokenize(log.events[-1].output_text):
+        raise ValueError("lag is undefined for an empty final translation")
+    fin = finalization(log)
+    cmap = correspondence(log, doc, mode=mode)
+    times = doc.source_times()
+    return [
+        fin.times[j] - _time_at(times, record.source_position)
+        for j, record in enumerate(cmap.tokens)
+    ]

@@ -150,6 +150,14 @@ def test_pareto_ceiling_filters_before_domination():
     assert pareto_subset([strong, weak]) == [strong]
 
 
+def test_pareto_rejects_a_nan_or_negative_ceiling():
+    row = SweepRow(0.0, 0, 50.0, 1.0, 0.0)
+    for bad in (math.nan, -0.1):
+        with pytest.raises(ValueError, match="erasure_ceiling must be a number >= 0"):
+            pareto_subset([row], bad)
+    assert pareto_subset([row], math.inf) == [row]
+
+
 def test_sweep_rows_round_trip_exactly(tmp_path):
     rng = random.Random(123)
     rows = random_rows(rng, 12)

@@ -58,10 +58,6 @@ def test_table_model_checks_distributions():
         TableModel({("a", ANY_CONTEXT): ()})
 
 
-def test_vocabulary_includes_eos(two_word_model):
-    assert two_word_model.vocabulary == frozenset({"X", "Y", "Z", "W", EOS_TOKEN})
-
-
 # ---------------------------------------------------------------------------
 # Table file format
 
@@ -166,8 +162,6 @@ def test_score_ties_fall_back_to_lexicographic():
 
 class _LoopingModel:
     """Never emits EOS; forces the length cutoff."""
-
-    vocabulary = frozenset({"la", EOS_TOKEN})
 
     def next_distribution(self, source, source_complete, prefix):
         return {"la": 1.0}

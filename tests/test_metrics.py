@@ -6,7 +6,9 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import latency_oracle
 from retrans import (
     Event,
     EventLog,
@@ -84,15 +86,14 @@ def test_prefix_growing_session_has_zero_erasure():
 
 def test_finalization_of_worked_session(session_log):
     fin = finalization(session_log)
-    assert fin.event_indices == (1, 1, 2, 3, 3, 3)
-    assert fin.times == (2.0, 2.0, 3.5, 4.2, 4.2, 4.2)
+    assert fin == (1, 1, 2, 3, 3, 3)
+    assert [session_log.events[i - 1].time for i in fin] == [2.0, 2.0, 3.5, 4.2, 4.2, 4.2]
 
 
 def test_finalization_waits_out_flicker():
     # token "y" vanishes at event 2 and only counts as final from event 3
     log = build_log((1.0, "a", "x y"), (2.0, "a b", "x"), (3.0, "a b c", "x y"))
-    fin = finalization(log)
-    assert fin.event_indices == (1, 3)
+    assert finalization(log) == (1, 3)
 
 
 def _finalization_oracle(log: EventLog) -> list[int]:
@@ -119,9 +120,9 @@ def test_finalization_matches_definition_on_random_sessions():
         if not log.events:
             continue
         fin = finalization(log)
-        assert list(fin.event_indices) == _finalization_oracle(log)
+        assert list(fin) == _finalization_oracle(log)
         # indices never decrease along the output
-        assert list(fin.event_indices) == sorted(fin.event_indices)
+        assert list(fin) == sorted(fin)
 
 
 # ---------------------------------------------------------------------------
@@ -131,37 +132,28 @@ def test_finalization_matches_definition_on_random_sessions():
 def test_correspondence_spreads_output_over_source():
     doc = make_document(([1.0, 2.0, 3.0, 4.0], "w x"))
     log = build_log((5.0, "s0 s1 s2 s3", "w x"))
-    cmap = correspondence(log, doc)
-    assert [record.source_position for record in cmap.tokens] == [0.0, 2.0]
-    assert cmap.tokens[0].output_len == 2
-    assert cmap.tokens[0].source_len == 4
+    assert correspondence(log, doc) == (0.0, 2.0)
 
 
 def test_correspondence_clamps_to_segment_end():
     doc = make_document(([1.0, 2.0], "w x y z"))
     log = build_log((5.0, "s0 s1", "w x y z"))
-    positions = [record.source_position for record in correspondence(log, doc).tokens]
     # raw positions 0, 0.5, 1.0, 1.5; the last clamps to the final source token
-    assert positions == [0.0, 0.5, 1.0, 1.0]
+    assert correspondence(log, doc) == (0.0, 0.5, 1.0, 1.0)
 
 
 def test_correspondence_respects_segment_starts():
     doc = make_document(([1.0, 2.0], "w x"), ([3.0, 4.0], "y z"))
     log = build_log((5.0, "s0 s1 s2 s3", "w x y z"))
-    cmap = correspondence(log, doc)
-    second = cmap.tokens[2]
-    assert second.segment_index == 1
-    assert second.output_start == 2
-    assert second.source_start == 2
-    assert [record.source_position for record in cmap.tokens] == [0.0, 1.0, 2.0, 3.0]
+    # the second segment's first token points at its first source token
+    assert correspondence(log, doc) == (0.0, 1.0, 2.0, 3.0)
 
 
 def test_correspondence_document_mode_ignores_segments():
     doc = make_document(([1.0, 2.0], "w x"), ([3.0, 4.0], "y z"))
     log = build_log((5.0, "s0 s1 s2 s3", "w x"))
-    cmap = correspondence(log, doc, mode="document")
-    assert [record.segment_index for record in cmap.tokens] == [-1, -1]
-    assert [record.source_position for record in cmap.tokens] == [0.0, 2.0]
+    # segment mode would put both tokens in the first segment: (0.0, 1.0)
+    assert correspondence(log, doc, mode="document") == (0.0, 2.0)
 
 
 def test_correspondence_rejects_unknown_mode(session_log):
@@ -205,6 +197,63 @@ def test_lag_rejects_empty_final_output():
     log = build_log((1.0, "s0", "w"), (2.0, "s0 x", ""))
     with pytest.raises(ValueError):
         translation_lag(log, doc)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: lag from plain per-token sequences against the records
+
+
+@st.composite
+def scored_sessions(draw):
+    """A multi-segment document and a session over it.  Outputs may be
+    shorter than the segment count (empty pieces) or longer than a
+    segment's source (positions clamp to the segment end), and the final
+    source may be shorter or longer than the timed one (document mode
+    clamps too)."""
+    times = iter(sorted(draw(st.lists(st.integers(0, 60), min_size=4, max_size=16))))
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        source = [next(times, 60) / 10.0 for _ in range(draw(st.integers(1, 4)))]
+        reference = " ".join(draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=5)))
+        segments.append((source, reference))
+    doc = make_document(*segments)
+    log = EventLog()
+    clock = 0.0
+    for _ in range(draw(st.integers(1, 8))):
+        clock += draw(st.integers(0, 20)) / 10.0
+        source = " ".join(f"s{i}" for i in range(draw(st.integers(0, 12))))
+        output = " ".join(draw(st.lists(st.sampled_from("pqrs"), max_size=12)))
+        log = append_event(log, Event(clock, source, output))
+    return log, doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(session=scored_sessions(), mode=st.sampled_from(["segment", "document"]))
+# two output tokens over three segments: an empty piece
+@example(
+    session=(build_log((5.0, "s0 s1 s2", "p q")), make_document(([1.0], "p"), ([2.0], "q"), ([3.0], "r"))),
+    mode="segment",
+)
+# four output tokens over a two-token source: the last clamps to its end
+@example(
+    session=(build_log((5.0, "s0 s1", "p q r s")), make_document(([1.0, 2.0], "p q r s"))), mode="segment"
+)
+def test_lag_matches_the_record_oracle(session, mode):
+    log, doc = session
+    oracle_fin = latency_oracle.finalization(log)
+    assert finalization(log) == oracle_fin.event_indices
+    try:
+        expected = latency_oracle.correspondence(log, doc, mode=mode)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            correspondence(log, doc, mode=mode)
+        return
+    assert correspondence(log, doc, mode=mode) == tuple(r.source_position for r in expected.tokens)
+    if not tokenize(log.events[-1].output_text):
+        with pytest.raises(ValueError, match="empty final translation"):
+            token_lags(log, doc, mode=mode)
+        return
+    assert token_lags(log, doc, mode=mode) == latency_oracle.token_lags(log, doc, mode=mode)
 
 
 # ---------------------------------------------------------------------------
