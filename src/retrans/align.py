@@ -1,26 +1,11 @@
-"""Token alignment primitives: edit distance, common prefixes, and
-minimum-error segmentation of an unsegmented hypothesis against a list of
-reference segments."""
+"""Token alignment primitives: common prefixes, and minimum-error
+segmentation of an unsegmented hypothesis against a list of reference
+segments."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-_INF = 10**9
-
-
-def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
-    """Token-level edit distance with unit insert/delete/substitute costs."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, 1):
-        cur = [i]
-        for j, tok_b in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (tok_a != tok_b)))
-        prev = cur
-    return prev[-1]
 
 
 def lcp_len(a: Sequence[str], b: Sequence[str]) -> int:
@@ -47,70 +32,38 @@ class Segmentation:
     total_edit_distance: int
 
 
-# Least cost budget the band is first built for, so that short inputs with
-# a handful of edits finish in one pass.
-_MIN_BAND = 16
+def _border_columns(pattern: Sequence[str], texts: Sequence[Sequence[str]]) -> list[tuple[int, int, int]]:
+    """Columns of the edit-distance table of ``pattern`` against the
+    concatenated ``texts``, kept before the first text and after each one.
 
-
-def _segment_prefix_costs(
-    hyp: Sequence[str], refs: Sequence[Sequence[str]], band: int
-) -> list[list[int]]:
-    """rows[r][j]: least summed edit distance of refs[:r] against any split
-    of hyp[:j] into r contiguous pieces, over alignment paths that stay in
-    the band; cells outside it hold ``_INF``.
-
-    A cell (i, j) pairs i reference tokens, counted across segments, with
-    j hypothesis tokens.  For M reference and N hypothesis tokens, every
-    path through it costs at least ``|i - j| + |(M - i) - (N - j)|``; the
-    band holds the cells where that bound is at most ``band``.  Splitting
-    the concatenated references never costs extra, so the table is an
-    edit-distance table of ``hyp`` against their concatenation, kept at the
-    segment borders.
+    Column i holds D[i][j], the distance of the first i text tokens to
+    ``pattern[:j]`` for every j, as the bit vectors of Myers (1999) in
+    Hyyrö's (2001) global form: ``(i, vp, vn)``, where bit j - 1 of ``vp``
+    (``vn``) is set when D[i][j] - D[i][j - 1] is +1 (-1).  One text token
+    is one step on len(pattern)-bit ints.  Splitting the texts never costs
+    extra, so D at the column after text r is the least summed distance of
+    texts[:r] against any split of ``pattern[:j]`` into r pieces.
     """
-    width = len(hyp)
-    delta = sum(len(ref) for ref in refs) - width
-    # Diagonals d = i - j with |d| + |delta - d| <= band.
-    d_lo = -((band - delta) // 2)
-    d_hi = (band + delta) // 2
-
-    def full_row(row: list[int], lo: int) -> list[int]:
-        return [_INF] * lo + row + [_INF] * (width + 1 - lo - len(row))
-
-    lo = 0
-    row = list(range(min(width, -d_lo) + 1))
-    rows = [full_row(row, lo)]
-    i = 0
-    for ref in refs:
-        for ref_tok in ref:
-            i += 1
-            new_lo = max(0, i - d_hi)
-            new_hi = min(width, i - d_lo)
-            # The previous row over columns new_lo - 1 .. new_hi, padded.  It
-            # starts at column lo, which is new_lo - 1 unless both are 0.
-            prev = row if new_lo > lo else [_INF] + row
-            prev += [_INF] * (new_hi + 2 - new_lo - len(prev))
-            if new_lo == 0:
-                left = prev[1] + 1
-                row = [left]
-                first = 1
-            else:
-                left = _INF
-                row = []
-                first = new_lo
-            for hyp_tok, diag, up in zip(
-                hyp[first - 1:new_hi], prev[first - new_lo:], prev[first - new_lo + 1:]
-            ):
-                if hyp_tok != ref_tok:
-                    diag += 1
-                if up < left:
-                    left = up
-                left += 1
-                if diag < left:
-                    left = diag
-                row.append(left)
-            lo = new_lo
-        rows.append(full_row(row, lo))
-    return rows
+    full = (1 << len(pattern)) - 1
+    match: dict[str, int] = {}
+    for j, tok in enumerate(pattern):
+        match[tok] = match.get(tok, 0) | 1 << j
+    i, vp, vn = 0, full, 0
+    columns = [(i, vp, vn)]
+    for text in texts:
+        for tok in text:
+            # Bits only carry and shift upward, so cutting d0 and vp to
+            # len(pattern) bits changes no cell; it keeps the ints that wide.
+            x = match.get(tok, 0) | vn
+            d0 = ((((x & vp) + vp) ^ vp) | x) & full
+            hp = vn | ~(d0 | vp)
+            hn = vp & d0
+            x = hp << 1 | 1
+            vn = x & d0
+            vp = (hn << 1 | ~(x | d0)) & full
+        i += len(text)
+        columns.append((i, vp, vn))
+    return columns
 
 
 def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentation:
@@ -122,13 +75,10 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentat
     score computed on pre-segmented text.  Among equally cheap splits the
     one with the leftmost cuts wins, decided left to right.
 
-    The cost table is filled only inside a diagonal band, widened until the
-    best split costs no more than the band admits, so for N hypothesis and
-    M reference tokens at total distance D the work is O(N * (D + |N - M|))
-    amortised over the widenings.  The result is exact: every path of cost
-    at most the band stays inside it, so the optimal total and every cell on
-    an optimal path are exact, and out-of-band cells only overestimate, so
-    the leftmost-cut test can fail on them but never pass wrongly.
+    For N hypothesis and M reference tokens the cost table takes M
+    bit-vector steps on N-bit ints, with no band and no widening, and keeps
+    one exact column per segment border.  Cuts are recovered by growing
+    each piece one hypothesis token at a time against its reference.
 
     Raises ``ValueError`` when ``refs`` is empty or contains an empty
     segment.
@@ -143,31 +93,27 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentat
     count = len(refs)
     width = len(hyp)
 
-    # suffix[r][j]: cheapest alignment of refs[r:] against hyp[j:].  Computed
-    # by running the prefix recurrence on the reversed problem; edit distance
-    # is invariant under reversing both sequences.
-    rev_hyp = hyp[::-1]
-    rev_refs = [ref[::-1] for ref in refs[::-1]]
-    band = max(abs(sum(map(len, refs)) - width), _MIN_BAND)
-    while True:
-        rev_rows = _segment_prefix_costs(rev_hyp, rev_refs, band)
-        total = rev_rows[-1][-1]
-        if total <= band:
-            break
-        band = min(2 * band, total)
-    suffix = [row[::-1] for row in reversed(rev_rows)]
+    # Columns of the reversed problem; edit distance is invariant under
+    # reversing both sequences.
+    columns = _border_columns(hyp[::-1], [ref[::-1] for ref in refs[::-1]])
 
+    def suffix(r: int, j: int) -> int:
+        """Cheapest alignment of refs[r:] against hyp[j:]."""
+        i, vp, vn = columns[count - r]
+        low = (1 << (width - j)) - 1
+        return i + (vp & low).bit_count() - (vn & low).bit_count()
+
+    total = suffix(0, 0)
     boundaries: list[int] = []
     pos = 0
     for r in range(1, count):
         # Grow the piece hyp[pos:j] one token at a time; costs[k] is its
         # edit distance to ref[:k].
         ref = refs[r - 1]
-        target = suffix[r - 1][pos]
-        after = suffix[r]
+        target = suffix(r - 1, pos)
         costs = list(range(len(ref) + 1))
         j = pos
-        while costs[-1] + after[j] != target:
+        while costs[-1] + suffix(r, j) != target:
             if j == width:
                 raise AssertionError("segmentation table is inconsistent")
             hyp_tok = hyp[j]

@@ -8,7 +8,7 @@ their translations never change again.  The display is the frozen
 translations followed by the masked translation of the live sentence, and
 every feed of new tokens appends one event to the session log, stamped
 with the time the last fed token was spoken (plus a constant processing
-delay if configured).
+delay if configured), to the millisecond the saved log carries.
 Each event's texts extend the running source and frozen-display strings
 the state carries, so a step costs what its new tokens and the live
 sentence cost, not what the whole session so far costs.
@@ -117,7 +117,9 @@ def step(
     and frozen.  The last sentence, if incomplete, is retranslated biased
     toward its own previous unmasked translation, then masked for display.
     Returns the new state and the logged event; the event's timestamp is
-    the last fed token's time plus ``delay``.
+    the last fed token's time plus ``delay``, rounded to the millisecond as
+    :func:`save_event_log` writes it, so a saved and reloaded log equals
+    the one in memory.
     """
     # Only the fed tokens need checking: earlier feeds were checked when fed.
     new_tokens = TimedTranscript(tuple(new_tokens)).tokens
@@ -157,7 +159,7 @@ def step(
     output_text = frozen_text + " ".join(live) if live else frozen_text[:-1]
     time = new_tokens[-1].time
     next_state = SessionState(words, time, source_text, frozen_text, frozen, previous_unmasked)
-    return next_state, Event(time + delay, source_text, output_text)
+    return next_state, Event(float(format_seconds(time + delay)), source_text, output_text)
 
 
 def run_simulation(

@@ -75,7 +75,7 @@ def step(
 
     next_state = SessionState(transcript, tuple(frozen), live, previous_unmasked)
     event = Event(
-        new_tokens[-1].time + delay,
+        round(new_tokens[-1].time + delay, 3),  # the millisecond the saved log carries
         " ".join(words),
         " ".join(next_state.displayed_tokens()),
     )

@@ -10,13 +10,24 @@ from retrans import (
     DecoderConfig,
     Segmentation,
     lcp_len,
-    levenshtein,
     mwer_segment,
     run_simulation,
     split_by_boundaries,
     tokenize,
 )
-from retrans.align import _MIN_BAND
+
+
+def levenshtein(a, b):
+    """Token-level edit distance with unit insert/delete/substitute costs."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, tok_a in enumerate(a, 1):
+        cur = [i]
+        for j, tok_b in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (tok_a != tok_b)))
+        prev = cur
+    return prev[-1]
 
 
 def brute_force_segment(hyp, refs):
@@ -38,8 +49,8 @@ def brute_force_segment(hyp, refs):
 
 
 def full_table_segment(hyp, refs):
-    """The unbanded segmenter the banded one replaced: the whole suffix
-    table, then a fresh distance scan from every cut."""
+    """The first segmenter: the whole suffix table, then a fresh distance
+    scan from every cut."""
     inf = 10**9
 
     def prefix_costs(hyp, refs):
@@ -85,6 +96,101 @@ def full_table_segment(hyp, refs):
                 pos = j
                 break
     return Segmentation(tuple(boundaries), suffix[0][0])
+
+
+# Least cost budget the banded oracle's band is first built for.
+_MIN_BAND = 16
+_INF = 10**9
+
+
+def _banded_prefix_costs(hyp, refs, band):
+    """rows[r][j]: least summed edit distance of refs[:r] against any split
+    of hyp[:j] into r pieces, over alignment paths that stay in the band;
+    cells outside it hold ``_INF``.  A cell (i, j) is in the band when
+    ``|i - j| + |(M - i) - (N - j)|``, a lower bound on any path through
+    it, is at most ``band``."""
+    width = len(hyp)
+    delta = sum(len(ref) for ref in refs) - width
+    # Diagonals d = i - j with |d| + |delta - d| <= band.
+    d_lo = -((band - delta) // 2)
+    d_hi = (band + delta) // 2
+
+    def full_row(row, lo):
+        return [_INF] * lo + row + [_INF] * (width + 1 - lo - len(row))
+
+    lo = 0
+    row = list(range(min(width, -d_lo) + 1))
+    rows = [full_row(row, lo)]
+    i = 0
+    for ref in refs:
+        for ref_tok in ref:
+            i += 1
+            new_lo = max(0, i - d_hi)
+            new_hi = min(width, i - d_lo)
+            # The previous row over columns new_lo - 1 .. new_hi, padded.  It
+            # starts at column lo, which is new_lo - 1 unless both are 0.
+            prev = row if new_lo > lo else [_INF] + row
+            prev += [_INF] * (new_hi + 2 - new_lo - len(prev))
+            if new_lo == 0:
+                left = prev[1] + 1
+                row = [left]
+                first = 1
+            else:
+                left = _INF
+                row = []
+                first = new_lo
+            for hyp_tok, diag, up in zip(
+                hyp[first - 1:new_hi], prev[first - new_lo:], prev[first - new_lo + 1:]
+            ):
+                if hyp_tok != ref_tok:
+                    diag += 1
+                if up < left:
+                    left = up
+                left += 1
+                if diag < left:
+                    left = diag
+                row.append(left)
+            lo = new_lo
+        rows.append(full_row(row, lo))
+    return rows
+
+
+def banded_segment(hyp, refs):
+    """The banded segmenter the bit-vector one replaced: the suffix table
+    filled inside a diagonal band, doubled until the best split fits in
+    it, then the same piece-growing cut recovery.  Exact, and fast enough
+    to serve as the reference on inputs of thousands of tokens."""
+    hyp = list(hyp)
+    refs = [list(ref) for ref in refs]
+    width = len(hyp)
+    rev_refs = [ref[::-1] for ref in refs[::-1]]
+    band = max(abs(sum(map(len, refs)) - width), _MIN_BAND)
+    while True:
+        rev_rows = _banded_prefix_costs(hyp[::-1], rev_refs, band)
+        total = rev_rows[-1][-1]
+        if total <= band:
+            break
+        band = min(2 * band, total)
+    suffix = [row[::-1] for row in reversed(rev_rows)]
+
+    boundaries = []
+    pos = 0
+    for r in range(1, len(refs)):
+        ref = refs[r - 1]
+        costs = list(range(len(ref) + 1))
+        j = pos
+        while costs[-1] + suffix[r][j] != suffix[r - 1][pos]:
+            hyp_tok = hyp[j]
+            j += 1
+            diag = costs[0]
+            costs[0] = j - pos
+            for k, ref_tok in enumerate(ref, 1):
+                shorter = costs[k]
+                costs[k] = min(diag + (hyp_tok != ref_tok), shorter + 1, costs[k - 1] + 1)
+                diag = shorter
+        boundaries.append(j)
+        pos = j
+    return Segmentation(tuple(boundaries), total)
 
 
 def test_levenshtein_basics():
@@ -189,7 +295,7 @@ def test_segment_boundaries_are_well_formed(hyp, refs):
 
 
 # ---------------------------------------------------------------------------
-# Banded segmenter against the full-table one
+# Bit-vector segmenter against the full-table and banded ones
 
 
 def _random_refs(rng, vocabulary, segments, longest):
@@ -202,7 +308,7 @@ def _assert_matches_full_table(hyp, refs):
     return result
 
 
-def test_banded_segment_matches_full_table_on_tiny_vocabularies():
+def test_segment_matches_full_table_on_tiny_vocabularies():
     # Two-letter text is full of equally cheap splits: the tie-break decides.
     rng = random.Random(11)
     for _ in range(300):
@@ -211,9 +317,10 @@ def test_banded_segment_matches_full_table_on_tiny_vocabularies():
         _assert_matches_full_table(hyp, refs)
 
 
-def test_banded_segment_matches_full_table_when_the_band_must_widen():
+def test_segment_and_banded_oracle_match_full_table_when_its_band_widens():
     # Same lengths, unrelated words: the distance far exceeds both the
-    # length difference and the first band, so the band widens.
+    # length difference and the banded oracle's first band, so its band
+    # widens; the oracle must still agree with the full table.
     rng = random.Random(12)
     widened = 0
     for _ in range(40):
@@ -221,13 +328,14 @@ def test_banded_segment_matches_full_table_when_the_band_must_widen():
         total = sum(len(ref) for ref in refs)
         hyp = [rng.choice("abcdefghij") for _ in range(max(0, total + rng.randint(-2, 2)))]
         result = _assert_matches_full_table(hyp, refs)
+        assert banded_segment(hyp, refs) == result
         widened += result.total_edit_distance > max(abs(total - len(hyp)), _MIN_BAND)
     assert widened >= 10
 
 
-def test_banded_segment_matches_full_table_on_disjoint_vocabularies():
-    # Nothing matches, so the distance is max(N, M) and the band has to
-    # grow to cover the table.
+def test_segment_matches_full_table_on_disjoint_vocabularies():
+    # Nothing matches, so the distance is max(N, M): every step of the
+    # bit-vector recurrence is a miss.
     rng = random.Random(13)
     for _ in range(30):
         refs = _random_refs(rng, "abc", rng.randint(1, 6), 10)
@@ -236,7 +344,7 @@ def test_banded_segment_matches_full_table_on_disjoint_vocabularies():
         assert result.total_edit_distance == max(len(hyp), sum(len(ref) for ref in refs))
 
 
-def test_banded_segment_matches_full_table_on_empty_hypothesis():
+def test_segment_matches_full_table_on_empty_hypothesis():
     rng = random.Random(14)
     for _ in range(20):
         refs = _random_refs(rng, "abcd", rng.randint(1, 8), 30)
@@ -249,17 +357,13 @@ def test_banded_segment_matches_full_table_on_empty_hypothesis():
     st.lists(st.sampled_from("abcd"), max_size=40),
     st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=8), min_size=1, max_size=8),
 )
-def test_banded_segment_matches_full_table_property(hyp, refs):
+def test_segment_matches_full_table_property(hyp, refs):
     _assert_matches_full_table(hyp, refs)
 
 
-@pytest.mark.parametrize("sentences_per_segment", [1, 5])
-def test_banded_segment_matches_full_table_on_the_toy_corpus(
-    toy_model, toy_documents, sentences_per_segment
-):
-    # The toy documents' sessions run back to back, twice in two orders,
-    # against their references: one per sentence (a long talk) or five
-    # sentences joined into one segment (run-on speech).
+def _toy_sessions(toy_model, toy_documents):
+    """The toy documents' final outputs back to back, twice in two orders,
+    and their reference sentences in the same order."""
     rng = random.Random(15)
     hyp = []
     sentences = []
@@ -270,9 +374,47 @@ def test_banded_segment_matches_full_table_on_the_toy_corpus(
             config = DecoderConfig(beam_size=4, bias_weight=0.5 * round_, mask_length=2)
             hyp += tokenize(run_simulation(transcript, toy_model, config).events[-1].output_text)
             sentences += reference.reference_token_segments()
-    refs = [
+    return hyp, sentences
+
+
+def _join_sentences(sentences, sentences_per_segment):
+    return [
         [tok for sentence in sentences[i:i + sentences_per_segment] for tok in sentence]
         for i in range(0, len(sentences), sentences_per_segment)
     ]
+
+
+@pytest.mark.parametrize("sentences_per_segment", [1, 5])
+def test_segment_matches_full_table_on_the_toy_corpus(
+    toy_model, toy_documents, sentences_per_segment
+):
+    # References one per sentence (a long talk) or five sentences joined
+    # into one segment (run-on speech).
+    hyp, sentences = _toy_sessions(toy_model, toy_documents)
+    refs = _join_sentences(sentences, sentences_per_segment)
     _assert_matches_full_table(hyp, refs)
     _assert_matches_full_table(hyp[: len(hyp) // 2], refs)
+
+
+@pytest.mark.parametrize("sentences_per_segment", [1, 5])
+def test_segment_matches_banded_oracle_on_a_long_talk(
+    toy_model, toy_documents, sentences_per_segment
+):
+    # The toy sessions repeated to about 1,800 tokens: the bit vectors span
+    # many machine words, and the full table would be too slow.
+    hyp, sentences = _toy_sessions(toy_model, toy_documents)
+    hyp, sentences = hyp * 8, sentences * 8
+    assert len(hyp) > 1700
+    refs = _join_sentences(sentences, sentences_per_segment)
+    for piece in (hyp, hyp[: len(hyp) // 2]):
+        assert mwer_segment(piece, refs) == banded_segment(piece, refs)
+
+
+def test_segment_matches_banded_oracle_when_no_word_matches():
+    # Over 64 words none of which the references use: every bit-vector
+    # step is a miss, on ints wider than one machine word.
+    refs = _random_refs(random.Random(16), "abcdef", 12, 10)
+    hyp = [f"w{i % 7}" for i in range(150)]
+    result = mwer_segment(hyp, refs)
+    assert result == banded_segment(hyp, refs)
+    assert result.total_edit_distance == max(len(hyp), sum(len(ref) for ref in refs))

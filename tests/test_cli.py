@@ -9,6 +9,9 @@ import pytest
 
 from retrans import (
     DecoderConfig,
+    ReferenceDocument,
+    ReferenceSegment,
+    TimedToken,
     evaluate_all,
     load_event_log,
     load_transcript,
@@ -198,6 +201,27 @@ def test_sweep_row_order_follows_the_grids(toy_model, toy_documents):
         (0.5, 0),
         (0.5, 5),
     ]
+
+
+def test_sweep_and_evaluate_agree_on_sub_millisecond_times(tmp_path, toy_model, toy_documents):
+    # Every news time shifted by 0.4 ms: events are stamped at the
+    # millisecond the saved log carries, so the saved log reloads equal to
+    # the sweep's in-memory one and scores the same TL.
+    name, transcript, reference = next(doc for doc in toy_documents if doc[0] == "news.jsonl")
+
+    def shifted(tokens):
+        return tuple(TimedToken(tok.token, tok.time + 0.0004) for tok in tokens)
+
+    transcript = TimedTranscript(shifted(transcript.tokens))
+    reference = ReferenceDocument(
+        tuple(ReferenceSegment(shifted(seg.source_tokens), seg.reference_text) for seg in reference.segments)
+    )
+    log = run_simulation(transcript, toy_model, DecoderConfig(beam_size=2, bias_weight=0.5, mask_length=2))
+    save_event_log(log, tmp_path / "log.jsonl")
+    reloaded = load_event_log(tmp_path / "log.jsonl")
+    assert reloaded == log
+    [row] = sweep(toy_model, [(name, transcript, reference)], [0.5], [2], beam_size=2)
+    assert row.translation_lag == evaluate_all(reloaded, reference).translation_lag
 
 
 def test_grid_parsers():

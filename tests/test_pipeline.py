@@ -15,6 +15,7 @@ from retrans import (
     TableModel,
     TimedToken,
     TimedTranscript,
+    load_event_log,
     load_transcript,
     normalized_erasure,
     run_simulation,
@@ -226,7 +227,8 @@ def table_models(draw):
 
 def assert_replays_agree(tmp_path, transcript, model, config, chunk_size, delay):
     """Step both replays side by side, compare every state and event, then
-    compare the saved logs of both ``run_simulation`` byte for byte."""
+    compare the saved logs of both ``run_simulation`` byte for byte and
+    check that the saved log reloads equal to the one in memory."""
     state, oracle_state = SessionState(), replay_oracle.SessionState()
     for start in range(0, len(transcript.tokens), chunk_size):
         feed = transcript.tokens[start:start + chunk_size]
@@ -235,7 +237,9 @@ def assert_replays_agree(tmp_path, transcript, model, config, chunk_size, delay)
         assert event == oracle_event
         assert state.frozen_translations == oracle_state.frozen_translations
         assert state.previous_unmasked == oracle_state.previous_unmasked
-    save_event_log(run_simulation(transcript, model, config, chunk_size, delay), tmp_path / "new.jsonl")
+    log = run_simulation(transcript, model, config, chunk_size, delay)
+    save_event_log(log, tmp_path / "new.jsonl")
+    assert load_event_log(tmp_path / "new.jsonl") == log
     save_event_log(
         replay_oracle.run_simulation(transcript, model, config, chunk_size, delay), tmp_path / "old.jsonl"
     )
