@@ -1,4 +1,4 @@
-"""Command-line surface and batch helpers.
+"""Command-line surface, grid sweeps and the Pareto subset.
 
 Four subcommands cover the full workflow: ``ingest-captions`` turns caption
 cues into a timed transcript, ``simulate`` replays a transcript through the
@@ -15,7 +15,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
 from .decoder import DecoderConfig, ScoringModel, load_table_model
-from .eventlog import EventLog, TimedToken, load_event_log, save_event_log, tokenize
+from .eventlog import load_event_log, save_event_log, tokenize
 from .metrics import (
     ReferenceDocument,
     erasure,
@@ -34,71 +33,7 @@ from .metrics import (
     save_report,
     token_lags,
 )
-from .pipeline import TimedTranscript, load_transcript, run_simulation, save_transcript
-
-CSV_HEADER = "beta,k,bleu,tl,ne"
-
-
-# ---------------------------------------------------------------------------
-# Caption ingestion
-
-
-@dataclass(frozen=True, slots=True)
-class CaptionCue:
-    """One caption: a display window in seconds and its text."""
-
-    start: float
-    end: float
-    text: str
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise ValueError("cue times must be finite")
-        if self.start < 0.0 or self.start >= self.end:
-            raise ValueError(f"cue window must satisfy 0 <= start < end, got [{self.start!r}, {self.end!r})")
-
-
-def load_caption_cues(path: str | Path) -> list[CaptionCue]:
-    """Read cues from a 3-column TSV: start seconds, end seconds, text."""
-    cues = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t", 2)
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated columns")
-            try:
-                start, end = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad cue times") from None
-            try:
-                cues.append(CaptionCue(start, end, parts[2]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return cues
-
-
-def ingest_captions(cues: Sequence[CaptionCue]) -> TimedTranscript:
-    """Spread each cue's tokens evenly over its display window.
-
-    Token ``m`` of ``n`` starts at ``start + (m / n) * (end - start)``,
-    counting from zero, so the first token of a cue is spoken at the cue's
-    start.  Cues must be ordered and non-overlapping.
-    """
-    tokens: list[TimedToken] = []
-    previous: CaptionCue | None = None
-    for cue in cues:
-        if previous is not None and cue.start < previous.end:
-            raise ValueError(
-                f"cue starting at {cue.start!r} overlaps or precedes the cue ending at {previous.end!r}"
-            )
-        words = tokenize(cue.text)
-        for m, word in enumerate(words):
-            tokens.append(TimedToken(word, cue.start + (m / len(words)) * (cue.end - cue.start)))
-        previous = cue
-    return TimedTranscript(tuple(tokens))
+from .pipeline import TimedTranscript, load_captions, load_transcript, run_simulation, save_transcript
 
 
 # ---------------------------------------------------------------------------
@@ -203,42 +138,12 @@ def save_sweep_rows(rows: Sequence[SweepRow], path: str | Path) -> None:
     written in shortest round-trip form, so reading the file back yields
     the exact same values."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(CSV_HEADER + "\n")
+        handle.write("beta,k,bleu,tl,ne\n")
         for row in rows:
             handle.write(
                 f"{row.bias_weight!r},{row.mask_length},{row.bleu!r},"
                 f"{row.translation_lag!r},{row.normalized_erasure!r}\n"
             )
-
-
-def load_sweep_rows(path: str | Path) -> list[SweepRow]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header {CSV_HEADER!r}") from None
-        if header != CSV_HEADER.split(","):
-            raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
-        rows = []
-        for lineno, record in enumerate(reader, 2):
-            if not record:
-                continue
-            if len(record) != 5:
-                raise ValueError(f"{path}: line {lineno}: expected 5 columns")
-            try:
-                rows.append(
-                    SweepRow(
-                        float(record[0]),
-                        int(record[1]),
-                        float(record[2]),
-                        float(record[3]),
-                        float(record[4]),
-                    )
-                )
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad numeric field") from None
-    return rows
 
 
 def _pareto_path(out: Path) -> Path:
@@ -270,9 +175,23 @@ def _parse_ne_ceiling(text: str) -> float:
     return value
 
 
+def _check_source(words: list[str], what: str, reference: ReferenceDocument, of: str) -> None:
+    """Raise ``ValueError`` unless ``words`` are the source words of
+    ``reference``, naming the first token where they differ; ``what`` and
+    ``of`` name the two sides in the message."""
+    expected = [tok.token for seg in reference.segments for tok in seg.source_tokens]
+    if words != expected:
+        at = lcp_len(words, expected)
+        seen = repr(words[at]) if at < len(words) else "no token"
+        wanted = repr(expected[at]) if at < len(expected) else "no token"
+        raise ValueError(
+            f"{what} ({len(words)} tokens) differs from {of} ({len(expected)} tokens) "
+            f"at token {at + 1}: {seen} instead of {wanted}"
+        )
+
+
 def _cmd_ingest_captions(args: argparse.Namespace) -> int:
-    transcript = ingest_captions(load_caption_cues(args.cues))
-    save_transcript(transcript, args.out)
+    save_transcript(load_captions(args.cues), args.out)
     return 0
 
 
@@ -288,14 +207,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     log = load_event_log(args.events)
     reference = load_reference_document(args.reference)
-    if log.events:
-        spoken = tokenize(log.events[-1].source_text)
-        expected = [tok.token for seg in reference.segments for tok in seg.source_tokens]
-        if spoken != expected:
-            raise ValueError(
-                f"{args.events}: the final source ({len(spoken)} tokens) differs from the source "
-                f"of {args.reference} ({len(expected)} tokens) at token {lcp_len(spoken, expected) + 1}"
-            )
+    spoken = tokenize(log.events[-1].source_text) if log.events else []
+    _check_source(spoken, f"{args.events}: the final source", reference, f"the source of {args.reference}")
     report = evaluate_all(log, reference, mode=args.correspondence)
     save_report(report, args.out)
     return 0
@@ -312,7 +225,11 @@ def _collect_documents(
         reference_path = references_dir / path.name
         if not reference_path.is_file():
             raise ValueError(f"missing reference for {path.name} in {references_dir}")
-        documents.append((path.name, load_transcript(path), load_reference_document(reference_path)))
+        transcript = load_transcript(path)
+        reference = load_reference_document(reference_path)
+        words = [tok.token for tok in transcript.tokens]
+        _check_source(words, f"document {path.name}: the transcript", reference, "its reference's source")
+        documents.append((path.name, transcript, reference))
     return documents
 
 

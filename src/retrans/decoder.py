@@ -264,13 +264,10 @@ def biased_beam_search(
     return best.tokens
 
 
-def mask_tail(tokens: Sequence[str], mask_length: int, source_complete: bool) -> tuple[str, ...]:
-    """Hold back the last ``mask_length`` tokens while the source sentence
-    is still growing; once it is complete, show everything."""
+def mask_tail(tokens: Sequence[str], mask_length: int) -> tuple[str, ...]:
+    """Hold back the last ``mask_length`` tokens of the translation of a
+    source sentence that is still growing.  A completed sentence is frozen
+    unmasked, so only the live sentence goes through here."""
     if mask_length < 0:
         raise ValueError(f"mask_length must be >= 0, got {mask_length}")
-    tokens = tuple(tokens)
-    if source_complete:
-        return tokens
-    keep = max(0, len(tokens) - mask_length)
-    return tokens[:keep]
+    return tuple(tokens[: max(0, len(tokens) - mask_length)])

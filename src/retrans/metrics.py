@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
-from .eventlog import EventLog, TimedToken, format_seconds, is_json_number, jsonl_records, parse_timed_token, tokenize
+from .eventlog import EventLog, TimedToken, jsonl_records, parse_timed_token, tokenize
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,18 +63,6 @@ class ReferenceDocument:
 
     def reference_token_segments(self) -> list[list[str]]:
         return [tokenize(seg.reference_text) for seg in self.segments]
-
-
-def save_reference_document(doc: ReferenceDocument, path: str | Path) -> None:
-    """Write one JSON line per segment: {"src": [{"w", "time"}...], "ref": text}."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for seg in doc.segments:
-            src = ", ".join(
-                '{"w": %s, "time": %s}' % (json.dumps(tok.token, ensure_ascii=False), format_seconds(tok.time))
-                for tok in seg.source_tokens
-            )
-            ref = json.dumps(seg.reference_text, ensure_ascii=False)
-            handle.write('{"src": [%s], "ref": %s}\n' % (src, ref))
 
 
 def load_reference_document(path: str | Path) -> ReferenceDocument:
@@ -121,18 +109,12 @@ def erasure(log: EventLog) -> list[int]:
 
 def normalized_erasure(log: EventLog) -> float:
     """Total erasure per token of final output."""
-    return _per_final_token(log, erasure(log))
-
-
-def _per_final_token(log: EventLog, retracted: Sequence[int]) -> float:
-    # ``retracted`` is erasure(log), passed in so one pass serves callers
-    # that also keep the per-event values.
     if not log.events:
         raise ValueError("normalized erasure needs at least one event")
     final_len = len(tokenize(log.events[-1].output_text))
     if final_len == 0:
         raise ValueError("normalized erasure is undefined for an empty final translation")
-    return sum(retracted) / final_len
+    return sum(erasure(log)) / final_len
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +218,6 @@ def token_lags(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> 
     ]
 
 
-def translation_lag(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> float:
-    """Mean of :func:`token_lags` over the final translation."""
-    lags = token_lags(log, doc, mode=mode)
-    return math.fsum(lags) / len(lags)
-
-
 # ---------------------------------------------------------------------------
 # Quality
 
@@ -310,12 +286,12 @@ class MetricsReport:
 def evaluate_all(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> MetricsReport:
     """Evaluate one session end to end; errors from the individual metrics
     propagate unchanged."""
-    lags = token_lags(log, doc, mode=mode)
-    retracted = erasure(log)  # token_lags read every event already, so this cannot fail first
+    lags = token_lags(log, doc, mode=mode)  # one lag per final token, and at least one
+    retracted = erasure(log)
     return MetricsReport(
         bleu=evaluate_quality(log, doc),
         translation_lag=math.fsum(lags) / len(lags),
-        normalized_erasure=_per_final_token(log, retracted),
+        normalized_erasure=sum(retracted) / len(lags),
         per_event_erasure=tuple(retracted),
         per_token_lag=tuple(lags),
     )
@@ -333,27 +309,3 @@ def save_report(report: MetricsReport, path: str | Path) -> None:
     }
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
-
-
-def load_report(path: str | Path) -> MetricsReport:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or set(payload) != {"bleu", "tl", "ne", "erasure", "lags"}:
-        raise ValueError(f'{path}: expected an object with keys "bleu", "tl", "ne", "erasure", "lags"')
-    for key in ("bleu", "tl", "ne"):
-        if not is_json_number(payload[key]):
-            raise ValueError(f'{path}: "{key}" must be a number')
-    if not isinstance(payload["erasure"], list) or not all(type(v) is int for v in payload["erasure"]):
-        raise ValueError(f'{path}: "erasure" must be a list of integers')
-    if not isinstance(payload["lags"], list) or not all(is_json_number(v) for v in payload["lags"]):
-        raise ValueError(f'{path}: "lags" must be a list of numbers')
-    return MetricsReport(
-        bleu=float(payload["bleu"]),
-        translation_lag=float(payload["tl"]),
-        normalized_erasure=float(payload["ne"]),
-        per_event_erasure=tuple(payload["erasure"]),
-        per_token_lag=tuple(float(v) for v in payload["lags"]),
-    )

@@ -12,6 +12,9 @@ delay if configured), to the millisecond the saved log carries.
 Each event's texts extend the running source and frozen-display strings
 the state carries, so a step costs what its new tokens and the live
 sentence cost, not what the whole session so far costs.
+
+The timed transcript is read from JSONL (:func:`load_transcript`) or from
+caption cues (:func:`load_captions`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,16 @@ from pathlib import Path
 from typing import Sequence
 
 from .decoder import DecoderConfig, ScoringModel, biased_beam_search, mask_tail
-from .eventlog import Event, EventLog, TimedToken, append_event, format_seconds, jsonl_records, parse_timed_token
+from .eventlog import (
+    Event,
+    EventLog,
+    TimedToken,
+    append_event,
+    format_seconds,
+    jsonl_records,
+    parse_timed_token,
+    tokenize,
+)
 
 _SENTENCE_FINAL = (".", "!", "?")
 
@@ -60,6 +72,47 @@ def load_transcript(path: str | Path) -> TimedTranscript:
         if tokens and token.time < tokens[-1].time:
             raise ValueError(f"{path}: line {lineno}: transcript times must be non-decreasing")
         tokens.append(token)
+    return TimedTranscript(tuple(tokens))
+
+
+def load_captions(path: str | Path) -> TimedTranscript:
+    """Read caption cues from a TSV of start seconds, end seconds and text,
+    and spread each cue's words evenly over its display window.
+
+    Only the first two tabs delimit columns.  Word ``m`` of ``n`` starts at
+    ``start + (m / n) * (end - start)``, counting from zero, so the first
+    word of a cue is spoken at the cue's start.  Windows must satisfy
+    ``0 <= start < end < inf``, and cues must be ordered and must not
+    overlap.  Blank lines are skipped; errors name the file and line.
+    """
+    tokens: list[TimedToken] = []
+    last_end = 0.0
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t", 2)
+            if len(parts) != 3:
+                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated columns")
+            try:
+                start, end = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: bad cue times") from None
+            if not 0.0 <= start < end < math.inf:  # also false for nan
+                raise ValueError(
+                    f"{path}: line {lineno}: cue window must satisfy 0 <= start < end < inf, "
+                    f"got [{start!r}, {end!r})"
+                )
+            if start < last_end:
+                raise ValueError(
+                    f"{path}: line {lineno}: cue starting at {start!r} overlaps or precedes "
+                    f"the cue ending at {last_end!r}"
+                )
+            words = tokenize(parts[2])
+            for m, word in enumerate(words):
+                tokens.append(TimedToken(word, start + (m / len(words)) * (end - start)))
+            last_end = end
     return TimedTranscript(tuple(tokens))
 
 
@@ -152,7 +205,7 @@ def step(
             frozen_text += "".join(token + " " for token in translated)
         else:
             previous_unmasked = translated
-            live = mask_tail(translated, config.mask_length, source_complete=False)
+            live = mask_tail(translated, config.mask_length)
 
     joined = " ".join(fed)
     source_text = f"{state.source_text} {joined}" if state.source_text else joined

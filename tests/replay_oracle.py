@@ -71,7 +71,7 @@ def step(
             frozen.append(translated)
         else:
             previous_unmasked = translated
-            live = mask_tail(translated, config.mask_length, source_complete=False)
+            live = mask_tail(translated, config.mask_length)
 
     next_state = SessionState(transcript, tuple(frozen), live, previous_unmasked)
     event = Event(

@@ -25,7 +25,6 @@ from retrans import (
     erasure,
     evaluate_all,
     finalization,
-    load_sweep_rows,
     main,
     mask_tail,
     mwer_segment,
@@ -36,12 +35,12 @@ from retrans import (
     split_sentences,
     step,
     sweep,
-    translation_lag,
 )
 from retrans.pipeline import SessionState
 
 from conftest import TOY_DIR, build_log
 from test_align import brute_force_segment
+from test_cli import read_rows
 from test_decoder import (
     enumerate_biased_best,
     plain_beam_search,
@@ -185,15 +184,17 @@ def test_mask_contract_on_fixtures(toy_model, toy_documents):
             sentences, _ = split_sentences(words)
             for sentence in sentences:
                 for cut in range(1, len(sentence) + 1):
-                    complete = cut == len(sentence)
+                    _, complete = split_sentences(sentence[:cut])
                     translated = biased_beam_search(toy_model, sentence[:cut], complete, config)
                     for k in (0, 1, 2, 3, 5, 10):
-                        masked = mask_tail(translated, k, source_complete=complete)
                         if complete:
-                            assert masked == translated
+                            # the sentence is frozen unmasked, whatever k is
+                            fed = [TimedToken(word, 0.0) for word in sentence]
+                            _, event = step(SessionState(), fed, toy_model, DecoderConfig(beam_size=2, mask_length=k))
+                            assert tuple(event.output_text.split()) == translated
                         else:
                             keep = max(0, len(translated) - k)
-                            assert masked == translated[:keep]
+                            assert mask_tail(translated, k) == translated[:keep]
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +260,9 @@ def test_lag_hand_oracle():
             )
         )
         log = EventLog((Event(4.0, "s0 s1 s2", "x y z"),))
-        assert translation_lag(log, document) == 2.0
+        assert evaluate_all(log, document).translation_lag == 2.0
         delayed = EventLog((Event(5.5, "s0 s1 s2", "x y z"),))
-        assert translation_lag(delayed, document) == 3.5
+        assert evaluate_all(delayed, document).translation_lag == 3.5
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +293,7 @@ def test_sweep_integrity(tmp_path, toy_model, toy_documents):
 
         path = tmp_path / "rows.csv"
         save_sweep_rows(rows, path)
-        assert load_sweep_rows(path) == rows
+        assert read_rows(path) == rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import random
+import re
 import shutil
 
 import pytest
@@ -13,6 +15,7 @@ from retrans import (
     ReferenceSegment,
     TimedToken,
     evaluate_all,
+    load_captions,
     load_event_log,
     load_transcript,
     run_simulation,
@@ -20,15 +23,11 @@ from retrans import (
     save_event_log,
 )
 from retrans.cli import (
-    CaptionCue,
     SweepRow,
     _parse_grid_floats,
     _parse_grid_ints,
     _parse_ne_ceiling,
     _pareto_path,
-    ingest_captions,
-    load_caption_cues,
-    load_sweep_rows,
     main,
     pareto_subset,
     save_sweep_rows,
@@ -43,60 +42,60 @@ from conftest import TOY_DIR
 # Caption ingestion
 
 
-def test_cue_window_validation():
-    with pytest.raises(ValueError):
-        CaptionCue(2.0, 2.0, "x")
-    with pytest.raises(ValueError):
-        CaptionCue(-1.0, 2.0, "x")
-    with pytest.raises(ValueError):
-        CaptionCue(float("nan"), 2.0, "x")
+def load_cues(tmp_path, text: str) -> TimedTranscript:
+    path = tmp_path / "cues.tsv"
+    path.write_text(text, encoding="utf-8")
+    return load_captions(path)
+
+
+def timed(transcript: TimedTranscript) -> list[tuple[str, float]]:
+    return [(t.token, t.time) for t in transcript.tokens]
+
+
+def test_cue_window_validation(tmp_path):
+    path = tmp_path / "cues.tsv"
+    for window in ("2.0\t2.0", "-1.0\t2.0", "nan\t2.0", "0.0\tnan", "0.0\tinf"):
+        path.write_text(f"0.0\t0.5\tok\n{window}\tx\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: cue window must satisfy")):
+            load_captions(path)
 
 
 def test_load_caption_cues(tmp_path):
-    path = tmp_path / "cues.tsv"
-    path.write_text("0.0\t2.0\thallo welt\n\n2.0\t3.0\tnoch\tein wort\n", encoding="utf-8")
-    cues = load_caption_cues(path)
-    # only the first two tabs delimit; later tabs belong to the text
-    assert cues == [CaptionCue(0.0, 2.0, "hallo welt"), CaptionCue(2.0, 3.0, "noch\tein wort")]
+    # only the first two tabs delimit; later tabs separate words of the text
+    transcript = load_cues(tmp_path, "0.0\t2.0\thallo welt\n\n2.0\t3.5\tnoch\tein wort\n")
+    assert timed(transcript) == [("hallo", 0.0), ("welt", 1.0), ("noch", 2.0), ("ein", 2.5), ("wort", 3.0)]
 
 
 def test_load_caption_cues_errors(tmp_path):
     path = tmp_path / "cues.tsv"
-    path.write_text("0.0\t2.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 1"):
-        load_caption_cues(path)
-    path.write_text("zero\t2.0\tx\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="bad cue times"):
-        load_caption_cues(path)
-    path.write_text("3.0\t2.0\tx\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 1"):
-        load_caption_cues(path)
+    for text, message in (
+        ("0.0\t1.0\ta\n0.0\t2.0\n", "line 2: expected 3 tab-separated columns"),
+        ("0.0\t1.0\ta\n\nzero\t2.0\tx\n", "line 3: bad cue times"),
+        ("3.0\t2.0\tx\n", "line 1: cue window must satisfy 0 <= start < end < inf, got [3.0, 2.0)"),
+        ("0.0\t2.0\ta\n1.5\t3.0\tb\n", "line 2: cue starting at 1.5 overlaps or precedes the cue ending at 2.0"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_captions(path)
 
 
-def test_ingest_spreads_tokens_over_the_window():
-    transcript = ingest_captions([CaptionCue(1.0, 3.0, "a b"), CaptionCue(3.0, 4.5, "c d e")])
-    assert [(t.token, t.time) for t in transcript.tokens] == [
-        ("a", 1.0),
-        ("b", 2.0),
-        ("c", 3.0),
-        ("d", 3.5),
-        ("e", 4.0),
-    ]
+def test_ingest_spreads_tokens_over_the_window(tmp_path):
+    transcript = load_cues(tmp_path, "1.0\t3.0\ta b\n3.0\t4.5\tc d e\n")
+    assert timed(transcript) == [("a", 1.0), ("b", 2.0), ("c", 3.0), ("d", 3.5), ("e", 4.0)]
 
 
-def test_ingest_skips_empty_cues():
-    transcript = ingest_captions([CaptionCue(0.0, 1.0, "   "), CaptionCue(1.0, 2.0, "w")])
-    assert [(t.token, t.time) for t in transcript.tokens] == [("w", 1.0)]
+def test_ingest_skips_empty_cues(tmp_path):
+    assert timed(load_cues(tmp_path, "0.0\t1.0\t   \n1.0\t2.0\tw\n")) == [("w", 1.0)]
 
 
-def test_ingest_rejects_overlapping_cues():
-    with pytest.raises(ValueError, match="overlaps"):
-        ingest_captions([CaptionCue(0.0, 2.0, "a"), CaptionCue(1.5, 3.0, "b")])
+def test_ingest_rejects_overlapping_cues(tmp_path):
+    # an empty cue still occupies its window
+    with pytest.raises(ValueError, match="line 2: cue starting at 1.5 overlaps"):
+        load_cues(tmp_path, "0.0\t2.0\t \n1.5\t3.0\tb\n")
 
 
-def test_ingest_allows_touching_cues():
-    transcript = ingest_captions([CaptionCue(0.0, 2.0, "a"), CaptionCue(2.0, 3.0, "b")])
-    assert len(transcript) == 2
+def test_ingest_allows_touching_cues(tmp_path):
+    assert len(load_cues(tmp_path, "0.0\t2.0\ta\n2.0\t3.0\tb\n")) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +113,13 @@ def random_rows(rng: random.Random, count: int) -> list[SweepRow]:
         )
         for _ in range(count)
     ]
+
+
+def read_rows(path) -> list[SweepRow]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        assert next(reader) == ["beta", "k", "bleu", "tl", "ne"]
+        return [SweepRow(float(b), int(k), float(q), float(tl), float(ne)) for b, k, q, tl, ne in reader]
 
 
 def dominates(a: SweepRow, b: SweepRow) -> bool:
@@ -166,24 +172,8 @@ def test_sweep_rows_round_trip_exactly(tmp_path):
     rows = random_rows(rng, 12)
     path = tmp_path / "rows.csv"
     save_sweep_rows(rows, path)
-    assert load_sweep_rows(path) == rows
+    assert read_rows(path) == rows
     assert path.read_text(encoding="utf-8").splitlines()[0] == "beta,k,bleu,tl,ne"
-
-
-def test_load_sweep_rows_errors(tmp_path):
-    path = tmp_path / "rows.csv"
-    path.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="empty"):
-        load_sweep_rows(path)
-    path.write_text("wrong,header\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="header"):
-        load_sweep_rows(path)
-    path.write_text("beta,k,bleu,tl,ne\n0.0,0,1.0,2.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
-        load_sweep_rows(path)
-    path.write_text("beta,k,bleu,tl,ne\n0.0,zero,1.0,2.0,0.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
-        load_sweep_rows(path)
 
 
 def test_sweep_failure_names_setting_and_document(toy_model, toy_documents):
@@ -310,6 +300,44 @@ def test_evaluate_command_rejects_a_log_of_another_document(tmp_path, toy_model,
     assert not out.exists()
 
 
+def test_evaluate_command_names_the_file_of_an_empty_log(tmp_path, capsys):
+    events = tmp_path / "events.jsonl"
+    events.write_text("", encoding="utf-8")
+    reference = TOY_DIR / "references" / "news.jsonl"
+    out = tmp_path / "report.json"
+    code = main(["evaluate", "--events", str(events), "--reference", str(reference), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {events}: the final source (0 tokens) differs from the source of {reference} ("
+    )
+    assert not out.exists()
+
+
+def test_sweep_command_rejects_a_transcript_of_another_document(tmp_path, capsys):
+    transcripts = tmp_path / "transcripts"
+    references = tmp_path / "references"
+    transcripts.mkdir()
+    references.mkdir()
+    shutil.copy(TOY_DIR / "transcripts" / "news.jsonl", transcripts / "x.jsonl")
+    shutil.copy(TOY_DIR / "references" / "games.jsonl", references / "x.jsonl")
+    out = tmp_path / "grid.csv"
+    argv = [
+        "sweep",
+        "--model", str(TOY_DIR / "model.tsv"),
+        "--transcripts", str(transcripts),
+        "--references", str(references),
+        "--betas", "0",
+        "--ks", "0",
+        "--beam", "2",
+        "--out", str(out),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: document x.jsonl: the transcript (")
+    assert "at token 1: 'die' instead of 'das'" in err
+    assert not out.exists() and not _pareto_path(out).exists()
+
+
 def test_sweep_command_writes_rows_and_pareto_sibling(tmp_path, toy_model, toy_documents):
     transcripts = tmp_path / "transcripts"
     references = tmp_path / "references"
@@ -336,8 +364,8 @@ def test_sweep_command_writes_rows_and_pareto_sibling(tmp_path, toy_model, toy_d
     documents = [doc for doc in toy_documents if doc[0] in ("market.jsonl", "news.jsonl")]
     documents.sort(key=lambda doc: doc[0])  # the command collects files in sorted order
     expected = sweep(toy_model, documents, [0.0, 0.5], [0, 5], beam_size=2)
-    assert load_sweep_rows(out) == expected
-    pareto = load_sweep_rows(_pareto_path(out))
+    assert read_rows(out) == expected
+    pareto = read_rows(_pareto_path(out))
     assert pareto == pareto_subset(expected, 0.1)
     assert all(row in expected for row in pareto)
 

@@ -9,10 +9,13 @@ from hypothesis import given, strategies as st
 from retrans import (
     DecoderConfig,
     EOS_TOKEN,
+    SessionState,
     TableModel,
+    TimedToken,
     biased_beam_search,
     load_table_model,
     mask_tail,
+    step,
 )
 from retrans.decoder import ANY_CONTEXT, END_OF_SOURCE, _biased_step
 
@@ -321,29 +324,27 @@ def test_wide_beam_matches_exhaustive_enumeration_on_short_sources():
 
 
 def test_mask_holds_back_tail_while_source_incomplete():
-    assert mask_tail(("u", "v", "w"), 2, source_complete=False) == ("u",)
-    assert mask_tail(("u", "v", "w"), 0, source_complete=False) == ("u", "v", "w")
-    assert mask_tail(("u",), 5, source_complete=False) == ()
+    assert mask_tail(("u", "v", "w"), 2) == ("u",)
+    assert mask_tail(("u", "v", "w"), 0) == ("u", "v", "w")
+    assert mask_tail(("u",), 5) == ()
 
 
 def test_mask_is_inert_once_source_complete():
-    assert mask_tail(("u", "v", "w"), 2, source_complete=True) == ("u", "v", "w")
+    # Only the live sentence goes through mask_tail: step freezes a
+    # completed sentence in full, whatever the mask length.
+    identity, config = TableModel({}), DecoderConfig(beam_size=2, mask_length=2)
+    _, live = step(SessionState(), [TimedToken(w, 0.0) for w in ("u", "v", "w")], identity, config)
+    _, done = step(SessionState(), [TimedToken(w, 0.0) for w in ("u", "v", "w.")], identity, config)
+    assert (live.output_text, done.output_text) == ("u", "u v w.")
 
 
 def test_mask_rejects_negative_length():
     with pytest.raises(ValueError):
-        mask_tail(("u",), -1, source_complete=False)
+        mask_tail(("u",), -1)
 
 
-@given(
-    st.lists(st.sampled_from("uvw"), max_size=10),
-    st.integers(min_value=0, max_value=12),
-    st.booleans(),
-)
-def test_mask_is_a_prefix_of_expected_length(tokens, mask_length, source_complete):
-    masked = mask_tail(tokens, mask_length, source_complete)
+@given(st.lists(st.sampled_from("uvw"), max_size=10), st.integers(min_value=0, max_value=12))
+def test_mask_is_a_prefix_of_expected_length(tokens, mask_length):
+    masked = mask_tail(tokens, mask_length)
     assert masked == tuple(tokens[: len(masked)])
-    if source_complete:
-        assert len(masked) == len(tokens)
-    else:
-        assert len(masked) == max(0, len(tokens) - mask_length)
+    assert len(masked) == max(0, len(tokens) - mask_length)
