@@ -64,12 +64,17 @@ def sweep(
     lag and erasure are pooled per token, which equals averaging per-document
     scores weighted by their final output token counts.  Documents are
     processed in the given order and rows come out ordered by the grids.
-    Any failure aborts the sweep, naming the setting and document.
+    A transcript whose words are not its reference's source words is
+    rejected before any setting runs; any later failure aborts the sweep,
+    naming the setting and document.
     """
     if not documents:
         raise ValueError("sweep needs at least one document")
     if not bias_weights or not mask_lengths:
         raise ValueError("sweep needs at least one bias weight and one mask length")
+    for name, transcript, reference in documents:
+        words = [tok.token for tok in transcript.tokens]
+        _check_source(words, f"document {name}: the transcript", reference, "its reference's source")
     rows = []
     for bias_weight in bias_weights:
         for mask_length in mask_lengths:
@@ -225,11 +230,7 @@ def _collect_documents(
         reference_path = references_dir / path.name
         if not reference_path.is_file():
             raise ValueError(f"missing reference for {path.name} in {references_dir}")
-        transcript = load_transcript(path)
-        reference = load_reference_document(reference_path)
-        words = [tok.token for tok in transcript.tokens]
-        _check_source(words, f"document {path.name}: the transcript", reference, "its reference's source")
-        documents.append((path.name, transcript, reference))
+        documents.append((path.name, load_transcript(path), load_reference_document(reference_path)))
     return documents
 
 

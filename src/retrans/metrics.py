@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,16 +96,32 @@ def load_reference_document(path: str | Path) -> ReferenceDocument:
 # Stability
 
 
+def _shared_cut(a: str, b: str) -> int:
+    """An offset ``k`` with ``a[:k] == b[:k]`` at which both strings have a
+    token border, so ``tokenize(x) == tokenize(x[:k]) + tokenize(x[k:])``
+    for either: the end of ``a`` when ``b`` goes on from it with a space or
+    not at all, else the last space both share, else 0."""
+    if a == b or b.startswith(a + " "):
+        return len(a)
+    common = bisect_left(range(1, len(a) + 1), True, key=lambda m: not b.startswith(a[:m]))
+    return max(a.rfind(" ", 0, common), 0)
+
+
 def erasure(log: EventLog) -> list[int]:
     """Tokens retracted at each event: the length of the previous display
     minus the common prefix kept by the new one.  The first event is
-    compared against an empty display, so its erasure is always zero."""
-    previous: list[str] = []
+    compared against an empty display, so its erasure is always zero.
+    Only the text past the two displays' shared prefix is tokenized."""
+    previous = ""
     retracted = []
     for event in log:
-        current = tokenize(event.output_text)
-        retracted.append(len(previous) - lcp_len(current, previous))
-        previous = current
+        cut = _shared_cut(previous, event.output_text)
+        if cut == len(previous):
+            retracted.append(0)
+        else:
+            old = tokenize(previous[cut:])
+            retracted.append(len(old) - lcp_len(tokenize(event.output_text[cut:]), old))
+        previous = event.output_text
     return retracted
 
 
@@ -127,12 +145,23 @@ def finalization(log: EventLog) -> tuple[int, ...]:
     changed again.  Its finalization time is that event's time.
 
     A token counts as changed while it is absent, so a token that flickers
-    out and back in is finalized only by its last reappearance.
+    out and back in is finalized only by its last reappearance.  Displays
+    are tokenized only past their shared prefix with the final one.
     """
     if not log.events:
         raise ValueError("finalization needs at least one event")
-    final_tokens = tokenize(log.events[-1].output_text)
-    agree = [lcp_len(tokenize(event.output_text), final_tokens) for event in log]
+    final = log.events[-1].output_text
+    final_tokens = tokenize(final)
+    starts = [match.start() for match in re.finditer(r"\S+", final)]
+    agree = []
+    for event in log:
+        cut = _shared_cut(event.output_text, final)
+        shared = bisect_left(starts, cut)  # final tokens before the cut, all shared
+        if cut == len(event.output_text):
+            agree.append(shared)
+        else:
+            tail = tokenize(event.output_text[cut:])
+            agree.append(shared + lcp_len(tail, final_tokens[shared:shared + len(tail)]))
     for i in range(len(agree) - 2, -1, -1):
         agree[i] = min(agree[i], agree[i + 1])
     indices = []

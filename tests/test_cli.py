@@ -33,6 +33,7 @@ from retrans.cli import (
     save_sweep_rows,
     sweep,
 )
+from retrans.decoder import EOS_TOKEN
 from retrans.pipeline import TimedTranscript
 
 from conftest import TOY_DIR
@@ -177,10 +178,33 @@ def test_sweep_rows_round_trip_exactly(tmp_path):
 
 
 def test_sweep_failure_names_setting_and_document(toy_model, toy_documents):
+    # An empty transcript is not its reference's source: rejected before the grid.
     _, _, reference = toy_documents[0]
     documents = [("leer.jsonl", TimedTranscript(), reference)]
-    with pytest.raises(ValueError, match=r"beta=0\.5 k=2 document=leer\.jsonl"):
+    with pytest.raises(ValueError, match=r"^document leer\.jsonl: the transcript \(0 tokens\) differs"):
         sweep(toy_model, documents, [0.5], [2], beam_size=1)
+
+
+class SilentModel:
+    """Ends every translation at once, so each session's final display is empty."""
+
+    def next_distribution(self, source, source_complete, prefix):
+        return {EOS_TOKEN: 1.0}
+
+
+def test_sweep_failure_in_the_grid_names_setting_and_document(toy_documents):
+    with pytest.raises(
+        ValueError, match=r"^sweep failed at beta=0\.5 k=2 document=games\.jsonl: lag is undefined"
+    ):
+        sweep(SilentModel(), toy_documents[:1], [0.5], [2], beam_size=1)
+
+
+def test_sweep_rejects_a_transcript_of_another_document(toy_model, toy_documents):
+    news = next(doc for doc in toy_documents if doc[0] == "news.jsonl")
+    games = next(doc for doc in toy_documents if doc[0] == "games.jsonl")
+    message = r"^document x\.jsonl: the transcript \(.*at token 1: 'die' instead of 'das'"
+    with pytest.raises(ValueError, match=message):
+        sweep(toy_model, [("x.jsonl", news[1], games[2])], [0.0], [0], beam_size=2)
 
 
 def test_sweep_row_order_follows_the_grids(toy_model, toy_documents):

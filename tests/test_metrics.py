@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import latency_oracle
+import retrans.metrics
 from retrans import (
     Event,
     EventLog,
@@ -28,6 +29,7 @@ from retrans import (
     token_lags,
     tokenize,
 )
+from retrans.align import lcp_len
 
 from conftest import build_log
 
@@ -120,6 +122,80 @@ def test_finalization_matches_definition_on_random_sessions():
         assert list(fin) == _finalization_oracle(log)
         # indices never decrease along the output
         assert list(fin) == sorted(fin)
+
+
+def tokenizing_erasure(log: EventLog) -> list[int]:
+    """The reference erasure: tokenize every display in full and compare it
+    with the previous one token by token."""
+    previous: list[str] = []
+    retracted = []
+    for event in log:
+        current = tokenize(event.output_text)
+        retracted.append(len(previous) - lcp_len(current, previous))
+        previous = current
+    return retracted
+
+
+SHARED_PREFIX_TOKENS = ["a", "ab", "a.", "ü", "abü"]
+WHITESPACE = [" ", "  ", "\t", "\n", "\xa0", "\u3000"]
+
+
+@st.composite
+def whitespace_sessions(draw):
+    """Displays of multi-character tokens that are prefixes of one another,
+    joined by mixed whitespace with optional leading and trailing runs.  A
+    display often starts with the previous one cut at any character, so a
+    token can be cut and continued, and whitespace can meet whitespace."""
+    log = EventLog()
+    previous = ""
+    for step in range(draw(st.integers(1, 8))):
+        tokens = draw(st.lists(st.sampled_from(SHARED_PREFIX_TOKENS), max_size=6))
+        text = draw(st.sampled_from(["", *WHITESPACE]))
+        for token in tokens:
+            text += token + draw(st.sampled_from(WHITESPACE))
+        if not draw(st.booleans()):
+            text = text.rstrip(" \t\n\xa0\u3000")
+        if previous and draw(st.integers(0, 3)):
+            text = previous[: draw(st.integers(0, len(previous)))] + text
+        log = append_event(log, Event(float(step), f"s{step}", text))
+        previous = text
+    return log
+
+
+@settings(max_examples=500, deadline=None)
+@given(log=whitespace_sessions())
+@example(log=build_log((1.0, "a", "x ab"), (2.0, "a b", "x abc")))  # the shared prefix ends inside a token
+@example(log=build_log((1.0, "a", "x\tab"), (2.0, "a b", "x\tab c")))  # no shared space, one shared tab
+@example(log=build_log((1.0, "a", "x ab "), (2.0, "a b", "x ab c"), (3.0, "a b c", " x ab")))
+def test_erasure_and_finalization_match_their_tokenizing_oracles(log):
+    assert erasure(log) == tokenizing_erasure(log)
+    assert finalization(log) == latency_oracle.finalization(log).event_indices
+
+
+def test_scoring_a_growing_log_tokenizes_a_small_share_of_its_snapshots(monkeypatch):
+    # 300 events; the display grows by one word per event and every tenth
+    # event revises its last word.  Without the shared-prefix cut, erasure
+    # and finalization would each tokenize every snapshot in full.
+    log = EventLog()
+    words: list[str] = []
+    for i in range(300):
+        words.append(f"w{i}")
+        if i % 10 == 9:
+            words[-1] = f"v{i}"
+        log = append_event(log, Event(float(i), " ".join(f"s{j}" for j in range(i + 1)), " ".join(words)))
+        words[-1] = f"w{i}"
+    doc = make_document(([float(i) for i in range(300)], " ".join(words)))
+    split_chars = 0
+
+    def counting_tokenize(text):
+        nonlocal split_chars
+        split_chars += len(text)
+        return text.split()
+
+    monkeypatch.setattr(retrans.metrics, "tokenize", counting_tokenize)
+    evaluate_all(log, doc)
+    snapshot_chars = sum(len(event.output_text) for event in log)
+    assert split_chars < 0.1 * snapshot_chars
 
 
 # ---------------------------------------------------------------------------
