@@ -78,7 +78,9 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentat
     For N hypothesis and M reference tokens the cost table takes M
     bit-vector steps on N-bit ints, with no band and no widening, and keeps
     one exact column per segment border.  Cuts are recovered by growing
-    each piece one hypothesis token at a time against its reference.
+    each piece one hypothesis token at a time against its reference, while
+    the cost of the rest is read off the next border column once and then
+    updated by one bit per token.
 
     Raises ``ValueError`` when ``refs`` is empty or contains an empty
     segment.
@@ -97,27 +99,31 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentat
     # reversing both sequences.
     columns = _border_columns(hyp[::-1], [ref[::-1] for ref in refs[::-1]])
 
-    def suffix(r: int, j: int) -> int:
-        """Cheapest alignment of refs[r:] against hyp[j:]."""
+    def suffix(r: int, j: int) -> tuple[int, int, int]:
+        """Cheapest alignment of refs[r:] against hyp[j:], and the column bits it sums."""
         i, vp, vn = columns[count - r]
         low = (1 << (width - j)) - 1
-        return i + (vp & low).bit_count() - (vn & low).bit_count()
+        vp &= low
+        vn &= low
+        return i + vp.bit_count() - vn.bit_count(), vp, vn
 
-    total = suffix(0, 0)
+    total = target = suffix(0, 0)[0]
     boundaries: list[int] = []
     pos = 0
     for r in range(1, count):
         # Grow the piece hyp[pos:j] one token at a time; costs[k] is its
-        # edit distance to ref[:k].
+        # edit distance to ref[:k], and rest is suffix(r, j), which loses
+        # bit width - j of the column's sum when j advances.
         ref = refs[r - 1]
-        target = suffix(r - 1, pos)
+        rest, vp, vn = suffix(r, pos)
         costs = list(range(len(ref) + 1))
         j = pos
-        while costs[-1] + suffix(r, j) != target:
+        while costs[-1] + rest != target:
             if j == width:
                 raise AssertionError("segmentation table is inconsistent")
             hyp_tok = hyp[j]
             j += 1
+            rest += (vn >> (width - j) & 1) - (vp >> (width - j) & 1)
             diag = costs[0]
             costs[0] = j - pos
             for k, ref_tok in enumerate(ref, 1):
@@ -126,6 +132,7 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentat
                 diag = shorter
         boundaries.append(j)
         pos = j
+        target = rest
     return Segmentation(tuple(boundaries), total)
 
 

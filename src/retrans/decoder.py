@@ -60,11 +60,11 @@ class TableModel:
             if not dist:
                 raise ValueError(f"empty distribution for ({word!r}, {ctx!r})")
             total = math.fsum(p for _, p in dist)
-            if abs(total - 1.0) > 1e-6:
+            if not abs(total - 1.0) <= 1e-6:
                 raise ValueError(
                     f"distribution for ({word!r}, {ctx!r}) sums to {total!r}, expected 1"
                 )
-            if any(p <= 0.0 for _, p in dist):
+            if not all(p > 0.0 for _, p in dist):
                 raise ValueError(f"probabilities for ({word!r}, {ctx!r}) must be positive")
 
     def next_distribution(
@@ -164,24 +164,6 @@ class DecoderConfig:
             raise ValueError(f"mask_length must be >= 0, got {self.mask_length}")
 
 
-@dataclass(frozen=True, slots=True)
-class Hypothesis:
-    """A partial or finished translation: its tokens, accumulated log
-    probability, and whether it is still a prefix of the previous
-    translation."""
-
-    tokens: tuple[str, ...]
-    logscore: float
-    following_previous: bool
-    finished: bool = False
-
-
-def _rank(hyp: Hypothesis) -> tuple:
-    # Best first: higher score, then still-following, then lexicographically
-    # earlier tokens.  The finished flag settles what little remains.
-    return (-hyp.logscore, not hyp.following_previous, hyp.tokens, not hyp.finished)
-
-
 def _biased_step(
     dist: Mapping[str, float], target: str, weight: float
 ) -> dict[str, float]:
@@ -214,54 +196,63 @@ def biased_beam_search(
     after the first divergence the model distribution applies unchanged.
     Scores are accumulated log probabilities of the mixed distributions.
 
+    A hypothesis is its own rank key, the tuple ``(-logscore, diverged,
+    tokens, unfinished)``, so plain tuple order ranks the beam: higher
+    score first, then the hypothesis still following the previous
+    translation, then the lexicographically earlier tokens, then the
+    finished one.  Each step subtracts log p from the negated score, which
+    gives bit for bit the negation of the added-up score.
+
     Finished hypotheses stay in the beam and compete by score.  The search
     stops when every surviving hypothesis is finished or has
     2 * len(source) + 5 tokens (a cutoff word-for-word models never reach;
     it stops a model that never emits EOS), and returns the best finished
-    one, or the best partial if nothing finished in time.  Ties prefer the
-    hypothesis still following the previous translation, then the
-    lexicographically earlier one.  An empty source translates to an empty
-    output without consulting the model.
+    one, or the best partial if nothing finished in time.  An empty source
+    translates to an empty output without consulting the model.
     """
     source = tuple(source)
     if not source:
         return ()
     previous = tuple(config.previous_translation)
+    previous_len = len(previous)
     weight = config.bias_weight
+    biased = weight > 0.0
+    beam_size = config.beam_size
     max_len = 2 * len(source) + 5
+    next_distribution = model.next_distribution
+    log = math.log
 
-    beam = [Hypothesis((), 0.0, True)]
-    while not all(h.finished or len(h.tokens) >= max_len for h in beam):
+    beam = [(0.0, False, (), True)]
+    while True:
         candidates = []
+        expanded = False
         for hyp in beam:
-            if hyp.finished or len(hyp.tokens) >= max_len:
+            cost, diverged, tokens, unfinished = hyp
+            position = len(tokens)
+            if not unfinished or position >= max_len:
                 candidates.append(hyp)
                 continue
-            dist = model.next_distribution(source, source_complete, hyp.tokens)
-            position = len(hyp.tokens)
-            biased = weight > 0.0 and hyp.following_previous and position < len(previous)
-            step = _biased_step(dist, previous[position], weight) if biased else dist
+            expanded = True
+            step = next_distribution(source, source_complete, tokens)
+            # The token that keeps this hypothesis following the previous
+            # translation, if it still does.
+            target = None if diverged or position >= previous_len else previous[position]
+            if biased and target is not None:
+                step = _biased_step(step, target, weight)
             for token, prob in step.items():
                 if prob <= 0.0:
                     continue
-                score = hyp.logscore + math.log(prob)
                 if token == EOS_TOKEN:
-                    candidates.append(
-                        Hypothesis(hyp.tokens, score, hyp.following_previous, True)
-                    )
+                    candidates.append((cost - log(prob), diverged, tokens, False))
                 else:
-                    follows = (
-                        hyp.following_previous
-                        and position < len(previous)
-                        and token == previous[position]
-                    )
-                    candidates.append(Hypothesis(hyp.tokens + (token,), score, follows))
-        candidates.sort(key=_rank)
-        beam = candidates[: config.beam_size]
+                    candidates.append((cost - log(prob), token != target, tokens + (token,), True))
+        if not expanded:
+            break
+        candidates.sort()
+        beam = candidates[:beam_size]
 
-    finished = [h for h in beam if h.finished]
-    best = min(finished or beam, key=_rank)
-    return best.tokens
+    finished = [hyp for hyp in beam if not hyp[3]]
+    return min(finished or beam)[2]
 
 
 def mask_tail(tokens: Sequence[str], mask_length: int) -> tuple[str, ...]:

@@ -10,6 +10,7 @@ from retrans import (
     EventLog,
     ReferenceDocument,
     TableModel,
+    TimedToken,
     append_event,
     load_reference_document,
     load_table_model,
@@ -72,6 +73,19 @@ def toy_documents() -> list[tuple[str, TimedTranscript, ReferenceDocument]]:
         )
     assert len(documents) >= 5
     return documents
+
+
+@pytest.fixture(scope="session")
+def toy_talk(toy_documents) -> TimedTranscript:
+    """The toy documents back to back, 1 s apart, twice: a talk of short
+    sentences."""
+    tokens = []
+    offset = 0.0
+    for _ in range(2):
+        for _, transcript, _ in toy_documents:
+            tokens.extend(TimedToken(tok.token, tok.time + offset) for tok in transcript.tokens)
+            offset = tokens[-1].time + 1.0
+    return TimedTranscript(tuple(tokens))
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import decoder_oracle
 from retrans import (
     DecoderConfig,
     EOS_TOKEN,
@@ -15,6 +16,9 @@ from retrans import (
     biased_beam_search,
     load_table_model,
     mask_tail,
+    pipeline,
+    run_simulation,
+    save_event_log,
     step,
 )
 from retrans.decoder import ANY_CONTEXT, END_OF_SOURCE, _biased_step
@@ -59,6 +63,14 @@ def test_table_model_checks_distributions():
         TableModel({("a", ANY_CONTEXT): (("X", 1.5), ("Y", -0.5))})
     with pytest.raises(ValueError):
         TableModel({("a", ANY_CONTEXT): ()})
+
+
+def test_table_model_rejects_nan_probabilities():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="sums to nan"):
+        TableModel({("a", ANY_CONTEXT): (("X", nan),)})
+    with pytest.raises(ValueError, match="sums to nan"):
+        TableModel({("a", ANY_CONTEXT): (("X", 0.5), ("Y", nan), ("Z", 0.5))})
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +329,95 @@ def test_wide_beam_matches_exhaustive_enumeration_on_short_sources():
         )
         assert result == best_tokens, (model, source, source_complete, weight, previous)
         assert best_score <= 0.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the tuple-keyed search against the object-per-candidate
+# search it replaced (decoder_oracle.py).  Outputs must be equal, exact score
+# ties included.
+
+
+def uniform_table_model(rng: random.Random) -> TableModel:
+    """Every distribution uniform over 2 or 3 targets, listed in random
+    order, so many hypotheses tie exactly on score and the following flag
+    and the token order decide."""
+    words = ("s0", "s1", "s2")
+    entries = {}
+    for word in words:
+        for context in (ANY_CONTEXT, END_OF_SOURCE, *rng.sample(words, rng.randint(0, 2))):
+            support = rng.sample(["t0", "t1", "t2", "t3"], rng.randint(2, 3))
+            entries[(word, context)] = tuple((target, 1.0 / len(support)) for target in support)
+    return TableModel(entries)
+
+
+class _ZeroMassModel:
+    """Gives one or two of each source word's four targets, EOS among the
+    candidates, probability 0.0; the search skips them unless the bias
+    lifts one."""
+
+    def __init__(self, rng: random.Random):
+        self.table = {}
+        for word in ("s0", "s1", "s2", "u9"):
+            support = rng.sample(["t0", "t1", "t2", "t3", EOS_TOKEN], 4)
+            zeros = rng.randint(1, 2)
+            weights = [0.0] * zeros + [rng.random() + 0.05 for _ in support[zeros:]]
+            total = sum(weights)
+            self.table[word] = {target: w / total for target, w in zip(support, weights)}
+
+    def next_distribution(self, source, source_complete, prefix):
+        if len(prefix) >= len(source):
+            return {EOS_TOKEN: 1.0}
+        return dict(self.table[source[len(prefix)]])
+
+
+def _previous_translation(rng: random.Random, kind: str, source_length: int) -> tuple[str, ...]:
+    pool = ["t0", "t1", "t2", "t3"]
+    if kind == "empty":
+        return ()
+    if kind == "longer":
+        length = source_length + rng.randint(1, 3)
+    else:
+        length = rng.randint(1, source_length + 1)
+    if kind == "foreign":
+        # Outside the model's support, but for u9 where a table model
+        # translates the unknown word to itself.
+        pool += ["zz", "u9", EOS_TOKEN]
+    return tuple(rng.choice(pool) for _ in range(length))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    model_kind=st.sampled_from(["table", "uniform", "zero_mass", "looping"]),
+    previous_kind=st.sampled_from(["empty", "random", "longer", "foreign"]),
+    beam_size=st.integers(min_value=1, max_value=6),
+    weight=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    source_complete=st.booleans(),
+)
+def test_search_matches_the_replaced_search(
+    seed, model_kind, previous_kind, beam_size, weight, source_complete
+):
+    rng = random.Random(seed)
+    model = {
+        "table": random_table_model,
+        "uniform": uniform_table_model,
+        "zero_mass": _ZeroMassModel,
+        "looping": lambda _: _LoopingModel(),
+    }[model_kind](rng)
+    source = random_source(rng, rng.randint(0, 5))
+    previous = _previous_translation(rng, previous_kind, len(source))
+    config = DecoderConfig(beam_size=beam_size, bias_weight=weight, previous_translation=previous)
+    assert biased_beam_search(model, source, source_complete, config) == (
+        decoder_oracle.biased_beam_search(model, source, source_complete, config)
+    )
+
+
+def test_simulation_log_matches_the_replaced_search(tmp_path, monkeypatch, toy_model, toy_talk):
+    config = DecoderConfig(beam_size=4, bias_weight=0.5, mask_length=2)
+    save_event_log(run_simulation(toy_talk, toy_model, config), tmp_path / "new.jsonl")
+    monkeypatch.setattr(pipeline, "biased_beam_search", decoder_oracle.biased_beam_search)
+    save_event_log(run_simulation(toy_talk, toy_model, config), tmp_path / "old.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -272,19 +272,11 @@ def test_replay_matches_the_rebuilding_oracle(
     assert_replays_agree(tmp_path, TimedTranscript(tuple(tokens)), model, config, chunk_size, delay)
 
 
-def test_replay_matches_the_oracle_on_a_toy_talk(tmp_path, toy_model, toy_documents):
-    # The toy documents back to back, 1 s apart, twice: a talk of short sentences.
-    tokens = []
-    offset = 0.0
-    for _ in range(2):
-        for _, transcript, _ in toy_documents:
-            tokens.extend(TimedToken(tok.token, tok.time + offset) for tok in transcript.tokens)
-            offset = tokens[-1].time + 1.0
-    talk = TimedTranscript(tuple(tokens))
+def test_replay_matches_the_oracle_on_a_toy_talk(tmp_path, toy_model, toy_talk):
     settings_grid = [(4, 0.0, 0, 1, 0.0), (2, 0.5, 2, 1, 0.0), (3, 1.0, 5, 3, 0.5), (1, 0.25, 1, 5, 2.0)]
     for beam_size, bias_weight, mask_length, chunk_size, delay in settings_grid:
         config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight, mask_length=mask_length)
-        assert_replays_agree(tmp_path, talk, toy_model, config, chunk_size, delay)
+        assert_replays_agree(tmp_path, toy_talk, toy_model, config, chunk_size, delay)
 
 
 # ---------------------------------------------------------------------------
