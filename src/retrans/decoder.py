@@ -9,7 +9,8 @@ behaviour the rest of the package measures, and the bias knob exists to
 suppress it: while a hypothesis has followed the previous translation token
 for token, the search mixes a point mass on the previous translation's next
 token into the model distribution.  From the first divergence on, the model
-distribution is used unchanged.
+distribution is used unchanged.  A distribution has one form, from the
+TSV row to the search: a read-only ``{target: probability}`` mapping.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
+from .eventlog import tokenize
+
 EOS_TOKEN = "</s>"
 END_OF_SOURCE = "⟨END⟩"  # context marker: the source sentence ends here
 ANY_CONTEXT = "∗"  # context marker: the next source word is unknown or unlisted
@@ -27,11 +30,12 @@ ANY_CONTEXT = "∗"  # context marker: the next source word is unknown or unlist
 class ScoringModel(Protocol):
     """What the search needs from a model: a next-token distribution,
     possibly including :data:`EOS_TOKEN`, that depends only on the source,
-    its completeness, and the target prefix."""
+    its completeness, and the target prefix.  The search only reads the
+    mapping, so a model may return the same one on every call."""
 
     def next_distribution(
         self, source: Sequence[str], source_complete: bool, prefix: Sequence[str]
-    ) -> dict[str, float]:
+    ) -> Mapping[str, float]:
         ...
 
 
@@ -44,10 +48,12 @@ class TableModel:
     the source sentence verifiably ends there, or :data:`ANY_CONTEXT` when
     the future is unseen or unlisted.  Lookup falls back from the exact
     context to :data:`ANY_CONTEXT`; a source word with no entries at all
-    translates to itself.
+    translates to itself.  Tokens and probabilities follow the rules of
+    :func:`load_table_model`.  The model keeps the
+    mappings it is given and serves them as they are: do not change them.
     """
 
-    entries: Mapping[tuple[str, str], tuple[tuple[str, float], ...]]
+    entries: Mapping[tuple[str, str], Mapping[str, float]]
 
     def __post_init__(self) -> None:
         words_with_exact = {word for word, ctx in self.entries if ctx != ANY_CONTEXT}
@@ -57,19 +63,21 @@ class TableModel:
                     f"source word {word!r} has context-specific entries but no {ANY_CONTEXT} entry"
                 )
         for (word, ctx), dist in self.entries.items():
+            if any(tokenize(token) != [token] for token in (word, ctx, *dist)):
+                raise ValueError(f"({word!r}, {ctx!r}): every token must be non-empty and whitespace-free")
             if not dist:
                 raise ValueError(f"empty distribution for ({word!r}, {ctx!r})")
-            total = math.fsum(p for _, p in dist)
+            total = math.fsum(dist.values())
             if not abs(total - 1.0) <= 1e-6:
                 raise ValueError(
                     f"distribution for ({word!r}, {ctx!r}) sums to {total!r}, expected 1"
                 )
-            if not all(p > 0.0 for _, p in dist):
-                raise ValueError(f"probabilities for ({word!r}, {ctx!r}) must be positive")
+            if not all(0.0 < p <= 1.0 for p in dist.values()):
+                raise ValueError(f"probabilities for ({word!r}, {ctx!r}) must be in (0, 1]")
 
     def next_distribution(
         self, source: Sequence[str], source_complete: bool, prefix: Sequence[str]
-    ) -> dict[str, float]:
+    ) -> Mapping[str, float]:
         """Distribution over the next target word given ``prefix``.
 
         Past the end of the source only :data:`EOS_TOKEN` remains.  Before
@@ -94,7 +102,7 @@ class TableModel:
             dist = self.entries.get((word, ANY_CONTEXT))
         if dist is None:
             return {word: 1.0}
-        return dict(dist)
+        return dist
 
 
 def load_table_model(path: str | Path) -> TableModel:
@@ -102,10 +110,12 @@ def load_table_model(path: str | Path) -> TableModel:
 
     Four tab-separated columns per line: source word, context (a token,
     ``⟨END⟩`` or ``∗``), target word, probability.  Lines starting with
-    ``#`` and blank lines are skipped.  Rows with the same source word and
-    context accumulate into one distribution, which must sum to 1 within
-    1e-6; an exact duplicate (source, context, target) row is an error, as
-    is a context-specific entry without the ``∗`` fallback for that word.
+    ``#`` and blank lines are skipped.  The first three columns must each
+    be one token as :func:`tokenize` reads it, the probability must lie in
+    (0, 1].  Rows with the same source word and context accumulate into one
+    distribution, which must sum to 1 within 1e-6; an exact duplicate
+    (source, context, target) row is an error, as is a context-specific
+    entry without the ``∗`` fallback for that word.
     """
     table: dict[tuple[str, str], dict[str, float]] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -119,11 +129,13 @@ def load_table_model(path: str | Path) -> TableModel:
                     f"{path}: line {lineno}: expected 4 tab-separated columns, got {len(parts)}"
                 )
             word, context, target, prob_text = parts
+            if any(tokenize(token) != [token] for token in (word, context, target)):
+                raise ValueError(f"{path}: line {lineno}: every token must be non-empty and whitespace-free")
             try:
                 prob = float(prob_text)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad probability {prob_text!r}") from None
-            if not math.isfinite(prob) or not 0.0 < prob <= 1.0:
+            if not 0.0 < prob <= 1.0:
                 raise ValueError(f"{path}: line {lineno}: probability must be in (0, 1]")
             dist = table.setdefault((word, context), {})
             if target in dist:
@@ -131,12 +143,8 @@ def load_table_model(path: str | Path) -> TableModel:
                     f"{path}: line {lineno}: duplicate row for ({word!r}, {context!r}, {target!r})"
                 )
             dist[target] = prob
-    entries = {
-        key: tuple(sorted(dist.items()))
-        for key, dist in table.items()
-    }
     try:
-        return TableModel(entries)
+        return TableModel(table)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -38,7 +38,7 @@ class TimedToken:
     time: float
 
     def __post_init__(self) -> None:
-        if not self.token or any(c.isspace() for c in self.token):
+        if tokenize(self.token) != [self.token]:
             raise ValueError(f"token must be non-empty and whitespace-free, got {self.token!r}")
         if not math.isfinite(self.time) or self.time < 0.0:
             raise ValueError(f"token time must be finite and >= 0, got {self.time!r}")

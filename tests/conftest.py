@@ -47,10 +47,10 @@ def two_word_model() -> TableModel:
     'b' to Z at a confirmed sentence end and to W otherwise."""
     return TableModel(
         {
-            ("a", "b"): (("X", 1.0),),
-            ("a", ANY_CONTEXT): (("Y", 1.0),),
-            ("b", END_OF_SOURCE): (("Z", 1.0),),
-            ("b", ANY_CONTEXT): (("W", 1.0),),
+            ("a", "b"): {"X": 1.0},
+            ("a", ANY_CONTEXT): {"Y": 1.0},
+            ("b", END_OF_SOURCE): {"Z": 1.0},
+            ("b", ANY_CONTEXT): {"W": 1.0},
         }
     )
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,26 +53,49 @@ def test_unknown_word_translates_to_itself(two_word_model):
 
 def test_table_model_requires_wildcard_fallback():
     with pytest.raises(ValueError):
-        TableModel({("a", "b"): (("X", 1.0),)})
+        TableModel({("a", "b"): {"X": 1.0}})
     with pytest.raises(ValueError):
-        TableModel({("a", END_OF_SOURCE): (("X", 1.0),)})
+        TableModel({("a", END_OF_SOURCE): {"X": 1.0}})
 
 
 def test_table_model_checks_distributions():
     with pytest.raises(ValueError):
-        TableModel({("a", ANY_CONTEXT): (("X", 0.5), ("Y", 0.4))})
+        TableModel({("a", ANY_CONTEXT): {"X": 0.5, "Y": 0.4}})
     with pytest.raises(ValueError):
-        TableModel({("a", ANY_CONTEXT): (("X", 1.5), ("Y", -0.5))})
+        TableModel({("a", ANY_CONTEXT): {"X": 1.5, "Y": -0.5}})
     with pytest.raises(ValueError):
-        TableModel({("a", ANY_CONTEXT): ()})
+        TableModel({("a", ANY_CONTEXT): {}})
+
+
+_BAD_ROWS = [
+    ("a", ANY_CONTEXT, "X", 1.0000005, r"must be in \(0, 1\]"),
+    ("a", ANY_CONTEXT, "", 1.0, "non-empty and whitespace-free"),
+    ("b", ANY_CONTEXT, "X Y", 1.0, "non-empty and whitespace-free"),
+    ("", ANY_CONTEXT, "Z", 1.0, "non-empty and whitespace-free"),
+    ("a b", ANY_CONTEXT, "Z", 1.0, "non-empty and whitespace-free"),
+    ("a", "", "X", 1.0, "non-empty and whitespace-free"),
+    ("a", "b\u00a0c", "X", 1.0, "non-empty and whitespace-free"),  # a no-break space splits too
+]
+
+
+@pytest.mark.parametrize("word, context, target, prob, message", _BAD_ROWS)
+def test_loader_and_constructor_reject_the_same_rows(tmp_path, word, context, target, prob, message):
+    # The row is alone under its key, so the row itself is at fault.
+    entries = {(word, ANY_CONTEXT): {"X": 1.0}, (word, context): {target: prob}}
+    with pytest.raises(ValueError, match=re.escape(f"({word!r}, {context!r})") + ".*" + message):
+        TableModel(entries)
+    path = tmp_path / "model.tsv"
+    path.write_text(f"{word}\t{context}\t{target}\t{prob!r}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: ") + ".*" + message):
+        load_table_model(path)
 
 
 def test_table_model_rejects_nan_probabilities():
     nan = float("nan")
     with pytest.raises(ValueError, match="sums to nan"):
-        TableModel({("a", ANY_CONTEXT): (("X", nan),)})
+        TableModel({("a", ANY_CONTEXT): {"X": nan}})
     with pytest.raises(ValueError, match="sums to nan"):
-        TableModel({("a", ANY_CONTEXT): (("X", 0.5), ("Y", nan), ("Z", 0.5))})
+        TableModel({("a", ANY_CONTEXT): {"X": 0.5, "Y": nan, "Z": 0.5}})
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +189,9 @@ def test_full_bias_replays_previous_translation(two_word_model):
 
 
 def test_score_ties_prefer_previous_translation():
-    model = TableModel({("w", ANY_CONTEXT): (("A", 0.5), ("B", 0.5))})
+    model = TableModel({("w", ANY_CONTEXT): {"A": 0.5, "B": 0.5}})
     config = DecoderConfig(beam_size=2, previous_translation=("B",))
     assert biased_beam_search(model, ["w"], False, config) == ("B",)
-
-
-def test_score_ties_fall_back_to_lexicographic():
-    model = TableModel({("w", ANY_CONTEXT): (("B", 0.5), ("A", 0.5))})
-    config = DecoderConfig(beam_size=2)
-    assert biased_beam_search(model, ["w"], False, config) == ("A",)
 
 
 class _LoopingModel:
@@ -277,9 +296,9 @@ def random_table_model(rng: random.Random) -> TableModel:
             support = rng.sample(targets, rng.randint(1, len(targets)))
             weights = [rng.random() + 0.05 for _ in support]
             total = sum(weights)
-            entries[(word, context)] = tuple(
-                sorted((target, weight / total) for target, weight in zip(support, weights))
-            )
+            entries[(word, context)] = {
+                target: weight / total for target, weight in zip(support, weights)
+            }
     return TableModel(entries)
 
 
@@ -332,8 +351,9 @@ def test_wide_beam_matches_exhaustive_enumeration_on_short_sources():
 
 
 # ---------------------------------------------------------------------------
-# Differential test: the tuple-keyed search against the object-per-candidate
-# search it replaced (decoder_oracle.py).  Outputs must be equal, exact score
+# Differential tests: the tuple-keyed search against the object-per-candidate
+# search it replaced (decoder_oracle.py), and against itself on the same
+# distributions listed in another order.  Outputs must be equal, exact score
 # ties included.
 
 
@@ -346,7 +366,7 @@ def uniform_table_model(rng: random.Random) -> TableModel:
     for word in words:
         for context in (ANY_CONTEXT, END_OF_SOURCE, *rng.sample(words, rng.randint(0, 2))):
             support = rng.sample(["t0", "t1", "t2", "t3"], rng.randint(2, 3))
-            entries[(word, context)] = tuple((target, 1.0 / len(support)) for target in support)
+            entries[(word, context)] = {target: 1.0 / len(support) for target in support}
     return TableModel(entries)
 
 
@@ -412,12 +432,54 @@ def test_search_matches_the_replaced_search(
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    uniform=st.booleans(),
+    previous_kind=st.sampled_from(["empty", "random", "longer", "foreign"]),
+    beam_size=st.integers(min_value=1, max_value=6),
+    weight=st.sampled_from([0.0, 0.5, 1.0]),
+    source_complete=st.booleans(),
+)
+def test_score_ties_fall_back_to_lexicographic(
+    seed, uniform, previous_kind, beam_size, weight, source_complete
+):
+    # The search ranks whole hypotheses, so the order in which a
+    # distribution lists its targets decides no tie.
+    model = TableModel({("w", ANY_CONTEXT): {"B": 0.5, "A": 0.5}})
+    assert biased_beam_search(model, ["w"], False, DecoderConfig(beam_size=2)) == ("A",)
+    rng = random.Random(seed)
+    model = (uniform_table_model if uniform else random_table_model)(rng)
+    shuffled = TableModel(
+        {key: dict(rng.sample(list(dist.items()), len(dist))) for key, dist in model.entries.items()}
+    )
+    source = random_source(rng, rng.randint(0, 5))
+    previous = _previous_translation(rng, previous_kind, len(source))
+    config = DecoderConfig(beam_size=beam_size, bias_weight=weight, previous_translation=previous)
+    assert biased_beam_search(shuffled, source, source_complete, config) == (
+        biased_beam_search(model, source, source_complete, config)
+    )
+
+
 def test_simulation_log_matches_the_replaced_search(tmp_path, monkeypatch, toy_model, toy_talk):
     config = DecoderConfig(beam_size=4, bias_weight=0.5, mask_length=2)
     save_event_log(run_simulation(toy_talk, toy_model, config), tmp_path / "new.jsonl")
     monkeypatch.setattr(pipeline, "biased_beam_search", decoder_oracle.biased_beam_search)
     save_event_log(run_simulation(toy_talk, toy_model, config), tmp_path / "old.jsonl")
     assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "serve", [lambda dist: dict(sorted(dist.items())), MappingProxyType], ids=["sorted", "read_only"]
+)
+def test_simulation_log_is_independent_of_the_served_mapping(tmp_path, toy_model, toy_talk, serve):
+    # Targets in sorted order instead of file order give the same log, and
+    # read-only mappings show that the search never writes to one.
+    config = DecoderConfig(beam_size=4, bias_weight=0.5, mask_length=2)
+    served = TableModel({key: serve(dist) for key, dist in toy_model.entries.items()})
+    save_event_log(run_simulation(toy_talk, toy_model, config), tmp_path / "plain.jsonl")
+    save_event_log(run_simulation(toy_talk, served, config), tmp_path / "served.jsonl")
+    assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "served.jsonl").read_bytes()
 
 
 # ---------------------------------------------------------------------------

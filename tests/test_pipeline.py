@@ -60,9 +60,9 @@ def test_split_sentences_partitions_the_input(tokens):
 
 END_MODEL = TableModel(
     {
-        ("y", ANY_CONTEXT): (("Y", 1.0),),
-        ("x.", END_OF_SOURCE): (("X.", 1.0),),
-        ("x.", ANY_CONTEXT): (("x_part", 1.0),),
+        ("y", ANY_CONTEXT): {"Y": 1.0},
+        ("x.", END_OF_SOURCE): {"X.": 1.0},
+        ("x.", ANY_CONTEXT): {"x_part": 1.0},
     }
 )
 
@@ -117,9 +117,9 @@ def test_new_sentence_starts_without_bias():
     # forced into the fresh one; the fresh sentence must come out clean
     model = TableModel(
         {
-            ("p.", END_OF_SOURCE): (("A.", 1.0),),
-            ("p.", ANY_CONTEXT): (("A.", 1.0),),
-            ("q", ANY_CONTEXT): (("B", 1.0),),
+            ("p.", END_OF_SOURCE): {"A.": 1.0},
+            ("p.", ANY_CONTEXT): {"A.": 1.0},
+            ("q", ANY_CONTEXT): {"B": 1.0},
         }
     )
     config = DecoderConfig(beam_size=2, bias_weight=1.0)
@@ -205,8 +205,8 @@ def test_deep_mask_never_erases(toy_model, toy_documents):
 
 _SOURCE_WORDS = ("a", "b", "c", "a.", "b?", "c!")
 _CONTEXTS = (ANY_CONTEXT, END_OF_SOURCE, "a", "b", "c", "a.")
-# "" and EOS_TOKEN make empty tokens and empty or short translations.
-_TARGETS = ("X", "Y", "Z.", "W", "", EOS_TOKEN)
+# EOS_TOKEN makes empty or short translations.
+_TARGETS = ("X", "Y", "Z.", "W", EOS_TOKEN)
 _DISTRIBUTIONS = ((1.0,), (0.5, 0.5), (0.75, 0.25))
 
 
@@ -221,7 +221,7 @@ def table_models(draw):
             targets = draw(
                 st.lists(st.sampled_from(_TARGETS), min_size=len(probs), max_size=len(probs), unique=True)
             )
-            entries[(word, context)] = tuple(zip(targets, probs))
+            entries[(word, context)] = dict(zip(targets, probs))
     return TableModel(entries)
 
 
