@@ -109,10 +109,11 @@ def load_table_model(path: str | Path) -> TableModel:
     """Read a model from a UTF-8 TSV file.
 
     Four tab-separated columns per line: source word, context (a token,
-    ``⟨END⟩`` or ``∗``), target word, probability.  Lines starting with
-    ``#`` and blank lines are skipped.  The first three columns must each
-    be one token as :func:`tokenize` reads it, the probability must lie in
-    (0, 1].  Rows with the same source word and context accumulate into one
+    ``⟨END⟩`` or ``∗``), target word, probability.  Blank lines and lines
+    whose first non-blank character is ``#`` are skipped, so a source word
+    starting with ``#`` cannot be written here.  The first three columns
+    must each be one token as :func:`tokenize` reads it, the probability
+    must lie in (0, 1].  Rows with the same source word and context accumulate into one
     distribution, which must sum to 1 within 1e-6; an exact duplicate
     (source, context, target) row is an error, as is a context-specific
     entry without the ``∗`` fallback for that word.

@@ -114,6 +114,14 @@ def test_load_skips_comments_and_blanks(tmp_path):
     assert model.next_distribution(["a"], False, ()) == {"X": 1.0}
 
 
+def test_a_source_word_starting_with_hash_reads_as_a_comment_in_a_file(tmp_path):
+    model = TableModel({("#a", ANY_CONTEXT): {"X": 1.0}})
+    assert model.next_distribution(["#a"], False, ()) == {"X": 1.0}
+    path = tmp_path / "model.tsv"
+    path.write_text("#a\t∗\tX\t1.0\n", encoding="utf-8")
+    assert dict(load_table_model(path).entries) == {}
+
+
 def test_load_empty_file_gives_identity_model(tmp_path):
     path = tmp_path / "model.tsv"
     path.write_text("", encoding="utf-8")
@@ -192,6 +200,12 @@ def test_score_ties_prefer_previous_translation():
     model = TableModel({("w", ANY_CONTEXT): {"A": 0.5, "B": 0.5}})
     config = DecoderConfig(beam_size=2, previous_translation=("B",))
     assert biased_beam_search(model, ["w"], False, config) == ("B",)
+
+
+def test_score_ties_fall_back_to_lexicographic():
+    model = TableModel({("w", ANY_CONTEXT): {"B": 0.5, "A": 0.5}})
+    config = DecoderConfig(beam_size=2)
+    assert biased_beam_search(model, ["w"], False, config) == ("A",)
 
 
 class _LoopingModel:
@@ -427,38 +441,15 @@ def test_search_matches_the_replaced_search(
     source = random_source(rng, rng.randint(0, 5))
     previous = _previous_translation(rng, previous_kind, len(source))
     config = DecoderConfig(beam_size=beam_size, bias_weight=weight, previous_translation=previous)
-    assert biased_beam_search(model, source, source_complete, config) == (
-        decoder_oracle.biased_beam_search(model, source, source_complete, config)
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    uniform=st.booleans(),
-    previous_kind=st.sampled_from(["empty", "random", "longer", "foreign"]),
-    beam_size=st.integers(min_value=1, max_value=6),
-    weight=st.sampled_from([0.0, 0.5, 1.0]),
-    source_complete=st.booleans(),
-)
-def test_score_ties_fall_back_to_lexicographic(
-    seed, uniform, previous_kind, beam_size, weight, source_complete
-):
-    # The search ranks whole hypotheses, so the order in which a
-    # distribution lists its targets decides no tie.
-    model = TableModel({("w", ANY_CONTEXT): {"B": 0.5, "A": 0.5}})
-    assert biased_beam_search(model, ["w"], False, DecoderConfig(beam_size=2)) == ("A",)
-    rng = random.Random(seed)
-    model = (uniform_table_model if uniform else random_table_model)(rng)
-    shuffled = TableModel(
-        {key: dict(rng.sample(list(dist.items()), len(dist))) for key, dist in model.entries.items()}
-    )
-    source = random_source(rng, rng.randint(0, 5))
-    previous = _previous_translation(rng, previous_kind, len(source))
-    config = DecoderConfig(beam_size=beam_size, bias_weight=weight, previous_translation=previous)
-    assert biased_beam_search(shuffled, source, source_complete, config) == (
-        biased_beam_search(model, source, source_complete, config)
-    )
+    expected = decoder_oracle.biased_beam_search(model, source, source_complete, config)
+    assert biased_beam_search(model, source, source_complete, config) == expected
+    if isinstance(model, TableModel):
+        # The search ranks whole hypotheses, so the order in which a
+        # distribution lists its targets decides no tie.
+        shuffled = TableModel(
+            {key: dict(rng.sample(list(dist.items()), len(dist))) for key, dist in model.entries.items()}
+        )
+        assert biased_beam_search(shuffled, source, source_complete, config) == expected
 
 
 def test_simulation_log_matches_the_replaced_search(tmp_path, monkeypatch, toy_model, toy_talk):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,9 +206,21 @@ def test_deep_mask_never_erases(toy_model, toy_documents):
 
 _SOURCE_WORDS = ("a", "b", "c", "a.", "b?", "c!")
 _CONTEXTS = (ANY_CONTEXT, END_OF_SOURCE, "a", "b", "c", "a.")
-# EOS_TOKEN makes empty or short translations.
-_TARGETS = ("X", "Y", "Z.", "W", EOS_TOKEN)
+# EMPTY and EOS_TOKEN make empty tokens and empty or short translations.
+_TARGETS = ("X", "Y", "Z.", "W", "EMPTY", EOS_TOKEN)
 _DISTRIBUTIONS = ((1.0,), (0.5, 0.5), (0.75, 0.25))
+
+
+@dataclass(frozen=True)
+class EmptyTargetModel:
+    """Serves a table's distributions with the target EMPTY renamed to "",
+    a token that a TableModel rejects but any other model may produce."""
+
+    table: TableModel
+
+    def next_distribution(self, source, source_complete, prefix):
+        dist = self.table.next_distribution(source, source_complete, prefix)
+        return {("" if target == "EMPTY" else target): p for target, p in dist.items()}
 
 
 @st.composite
@@ -222,7 +235,7 @@ def table_models(draw):
                 st.lists(st.sampled_from(_TARGETS), min_size=len(probs), max_size=len(probs), unique=True)
             )
             entries[(word, context)] = dict(zip(targets, probs))
-    return TableModel(entries)
+    return EmptyTargetModel(TableModel(entries))
 
 
 def assert_replays_agree(tmp_path, transcript, model, config, chunk_size, delay):
