@@ -17,13 +17,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
 from .decoder import DecoderConfig, ScoringModel, load_table_model
-from .eventlog import load_event_log, save_event_log, tokenize
+from .eventlog import EventLog, append_event, load_event_log, save_event_log, tokenize
 from .metrics import (
     ReferenceDocument,
     erasure,
@@ -33,7 +33,16 @@ from .metrics import (
     save_report,
     token_lags,
 )
-from .pipeline import TimedTranscript, load_captions, load_transcript, run_simulation, save_transcript
+from .pipeline import (
+    SessionState,
+    TimedTranscript,
+    advance,
+    display_event,
+    load_captions,
+    load_transcript,
+    run_simulation,
+    save_transcript,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +60,34 @@ class SweepRow:
     normalized_erasure: float
 
 
+@dataclass(slots=True)
+class _Pool:
+    """One grid point's scores pooled over the documents scored so far."""
+
+    pieces: list[list[str]] = field(default_factory=list)
+    refs: list[list[str]] = field(default_factory=list)
+    lags: list[float] = field(default_factory=list)
+    erased: int = 0
+    final_tokens: int = 0
+
+    def add(self, log: EventLog, reference: ReferenceDocument, refs: list[list[str]]) -> None:
+        hyp = tokenize(log.events[-1].output_text)
+        self.pieces.extend(split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries))
+        self.refs.extend(refs)
+        self.lags.extend(token_lags(log, reference))
+        self.erased += sum(erasure(log))
+        self.final_tokens += len(hyp)
+
+    def row(self, bias_weight: float, mask_length: int) -> SweepRow:
+        return SweepRow(
+            bias_weight,
+            mask_length,
+            bleu_corpus(self.pieces, self.refs),
+            math.fsum(self.lags) / len(self.lags),
+            self.erased / self.final_tokens,
+        )
+
+
 def sweep(
     model: ScoringModel,
     documents: Sequence[tuple[str, TimedTranscript, ReferenceDocument]],
@@ -62,53 +99,59 @@ def sweep(
 
     BLEU is computed corpus-wide by pooling all documents' segment pairs;
     lag and erasure are pooled per token, which equals averaging per-document
-    scores weighted by their final output token counts.  Documents are
-    processed in the given order and rows come out ordered by the grids.
-    A transcript whose words are not its reference's source words is
-    rejected before any setting runs; any later failure aborts the sweep,
-    naming the setting and document.
+    scores weighted by their final output token counts.  Rows come out
+    ordered by the grids, bias weights outermost.
+
+    The mask only changes the display: the search is biased toward the
+    previous *unmasked* translation.  So each (bias weight, document) pair
+    is decoded once, and each decoded state is shown under every mask
+    length into that length's log, scored as soon as the document ends.
+
+    Every setting and every transcript is checked before anything is
+    decoded: an out-of-range setting fails naming it, and a transcript that
+    is not its reference's source fails naming the document.  A later
+    failure aborts the sweep, naming the bias weight, the document and,
+    when scoring failed, the mask length.
     """
     if not documents:
         raise ValueError("sweep needs at least one document")
     if not bias_weights or not mask_lengths:
         raise ValueError("sweep needs at least one bias weight and one mask length")
+    for bias_weight in bias_weights:
+        for mask_length in mask_lengths:
+            try:
+                DecoderConfig(beam_size=beam_size, bias_weight=bias_weight, mask_length=mask_length)
+            except ValueError as exc:
+                raise ValueError(
+                    f"sweep setting beta={bias_weight!r} k={mask_length} beam={beam_size}: {exc}"
+                ) from None
+    references = []
     for name, transcript, reference in documents:
         words = [tok.token for tok in transcript.tokens]
         _check_source(words, f"document {name}: the transcript", reference, "its reference's source")
+        references.append(reference.reference_token_segments())
     rows = []
     for bias_weight in bias_weights:
-        for mask_length in mask_lengths:
-            config = DecoderConfig(
-                beam_size=beam_size, bias_weight=bias_weight, mask_length=mask_length
-            )
-            pooled_pieces: list[list[str]] = []
-            pooled_refs: list[list[str]] = []
-            pooled_lags: list[float] = []
-            erased = 0
-            final_tokens = 0
-            for name, transcript, reference in documents:
+        config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight)
+        pools = {mask_length: _Pool() for mask_length in mask_lengths}
+        for (name, transcript, reference), refs in zip(documents, references):
+            logs = dict.fromkeys(pools, EventLog())
+            state = SessionState()
+            try:
+                for token in transcript.tokens:
+                    state = advance(state, (token,), model, config)
+                    for mask_length, log in logs.items():
+                        logs[mask_length] = append_event(log, display_event(state, mask_length))
+            except ValueError as exc:
+                raise ValueError(f"sweep failed at beta={bias_weight!r} document={name}: {exc}") from None
+            for mask_length, log in logs.items():
                 try:
-                    log = run_simulation(transcript, model, config)
-                    hyp = tokenize(log.events[-1].output_text) if log.events else []
-                    refs = reference.reference_token_segments()
-                    pooled_pieces.extend(split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries))
-                    pooled_refs.extend(refs)
-                    pooled_lags.extend(token_lags(log, reference))
-                    erased += sum(erasure(log))
-                    final_tokens += len(hyp)
+                    pools[mask_length].add(log, reference, refs)
                 except ValueError as exc:
                     raise ValueError(
                         f"sweep failed at beta={bias_weight!r} k={mask_length} document={name}: {exc}"
                     ) from None
-            rows.append(
-                SweepRow(
-                    bias_weight,
-                    mask_length,
-                    bleu_corpus(pooled_pieces, pooled_refs),
-                    math.fsum(pooled_lags) / len(pooled_lags),
-                    erased / final_tokens,
-                )
-            )
+        rows.extend(pools[mask_length].row(bias_weight, mask_length) for mask_length in mask_lengths)
     return rows
 
 

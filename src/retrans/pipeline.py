@@ -13,6 +13,14 @@ Each event's texts extend the running source and frozen-display strings
 the state carries, so a step costs what its new tokens and the live
 sentence cost, not what the whole session so far costs.
 
+A step has two parts.  :func:`advance` decodes: it feeds the tokens and
+retranslates, biased toward the live sentence's previous *unmasked*
+translation.  :func:`display_event` masks the live tail and stamps the
+event.  The mask only changes what is shown, never what is decoded, so one
+decoded session serves every mask length: ``sweep`` decodes each (bias
+weight, document) pair once and displays it under each of its mask
+lengths.
+
 The timed transcript is read from JSONL (:func:`load_transcript`) or from
 caption cues (:func:`load_captions`).
 """
@@ -135,7 +143,8 @@ def split_sentences(tokens: Sequence[str]) -> tuple[list[list[str]], bool]:
 
 @dataclass(frozen=True, slots=True)
 class SessionState:
-    """What the next :func:`step` reads.
+    """What the next :func:`advance` reads, and what :func:`display_event`
+    shows.
 
     ``words`` are the source words fed so far and ``last_time`` the time of
     the last of them (0.0 before the first feed).  ``source_text`` is
@@ -143,9 +152,9 @@ class SessionState:
     translation token followed by one space: the running texts each event
     extends.  ``frozen_translations`` holds one finished translation per
     completed sentence, in order.  ``previous_unmasked`` is the incomplete
-    last sentence's latest unmasked translation, kept as the bias target
-    for its next retranslation.  What the viewer saw is the event's
-    ``output_text``.
+    last sentence's latest unmasked translation, empty once the last
+    sentence is complete: the bias target of its next retranslation and
+    the tail the display masks.
     """
 
     words: tuple[str, ...] = ()
@@ -156,23 +165,19 @@ class SessionState:
     previous_unmasked: tuple[str, ...] = ()
 
 
-def step(
+def advance(
     state: SessionState,
     new_tokens: Sequence[TimedToken],
     model: ScoringModel,
     config: DecoderConfig,
-    delay: float = 0.0,
-) -> tuple[SessionState, Event]:
-    """Feed freshly recognized tokens and retranslate.
+) -> SessionState:
+    """Feed freshly recognized tokens and retranslate: the decode part of
+    :func:`step`.  What it decodes does not depend on ``config.mask_length``.
 
     Sentences completed by this feed are translated one last time with the
     sentence end in view (still biased toward their previous translation)
     and frozen.  The last sentence, if incomplete, is retranslated biased
-    toward its own previous unmasked translation, then masked for display.
-    Returns the new state and the logged event; the event's timestamp is
-    the last fed token's time plus ``delay``, rounded to the millisecond as
-    :func:`save_event_log` writes it, so a saved and reloaded log equals
-    the one in memory.
+    toward its own previous unmasked translation.
     """
     # Only the fed tokens need checking: earlier feeds were checked when fed.
     new_tokens = TimedTranscript(tuple(new_tokens)).tokens
@@ -188,7 +193,6 @@ def step(
     frozen = state.frozen_translations
     frozen_text = state.frozen_text
     live_index = len(frozen)  # the sentence state.previous_unmasked belongs to
-    live: tuple[str, ...] = ()
     previous_unmasked: tuple[str, ...] = ()
     for index in range(live_index, len(sentences)):
         sentence = sentences[index]
@@ -205,14 +209,35 @@ def step(
             frozen_text += "".join(token + " " for token in translated)
         else:
             previous_unmasked = translated
-            live = mask_tail(translated, config.mask_length)
 
     joined = " ".join(fed)
     source_text = f"{state.source_text} {joined}" if state.source_text else joined
-    output_text = frozen_text + " ".join(live) if live else frozen_text[:-1]
-    time = new_tokens[-1].time
-    next_state = SessionState(words, time, source_text, frozen_text, frozen, previous_unmasked)
-    return next_state, Event(float(format_seconds(time + delay)), source_text, output_text)
+    return SessionState(words, new_tokens[-1].time, source_text, frozen_text, frozen, previous_unmasked)
+
+
+def display_event(state: SessionState, mask_length: int, delay: float = 0.0) -> Event:
+    """What the viewer sees after ``state``'s last feed: the frozen
+    translations and the live translation with its last ``mask_length``
+    tokens held back, stamped at the last fed token's time plus ``delay``,
+    rounded to the millisecond as :func:`save_event_log` writes it, so a
+    saved and reloaded log equals the one in memory."""
+    live = mask_tail(state.previous_unmasked, mask_length)
+    output_text = state.frozen_text + " ".join(live) if live else state.frozen_text[:-1]
+    return Event(float(format_seconds(state.last_time + delay)), state.source_text, output_text)
+
+
+def step(
+    state: SessionState,
+    new_tokens: Sequence[TimedToken],
+    model: ScoringModel,
+    config: DecoderConfig,
+    delay: float = 0.0,
+) -> tuple[SessionState, Event]:
+    """Feed freshly recognized tokens, retranslate (:func:`advance`) and
+    show the result under ``config.mask_length`` (:func:`display_event`).
+    Returns the new state and the logged event."""
+    state = advance(state, new_tokens, model, config)
+    return state, display_event(state, config.mask_length, delay)
 
 
 def run_simulation(

@@ -8,7 +8,9 @@ import re
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sweep_oracle
 from retrans import (
     DecoderConfig,
     ReferenceDocument,
@@ -37,6 +39,7 @@ from retrans.decoder import EOS_TOKEN
 from retrans.pipeline import TimedTranscript
 
 from conftest import TOY_DIR
+from test_pipeline import _SOURCE_WORDS, table_models
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +239,113 @@ def test_sweep_and_evaluate_agree_on_sub_millisecond_times(tmp_path, toy_model, 
     assert reloaded == log
     [row] = sweep(toy_model, [(name, transcript, reference)], [0.5], [2], beam_size=2)
     assert row.translation_lag == evaluate_all(reloaded, reference).translation_lag
+
+
+class CountingModel:
+    """Serves ``model``'s distributions and counts the searches that asked
+    for them: a search over a non-empty source asks for the empty prefix
+    exactly once."""
+
+    def __init__(self, model):
+        self.model = model
+        self.searches = 0
+
+    def next_distribution(self, source, source_complete, prefix):
+        if not prefix:
+            self.searches += 1
+        return self.model.next_distribution(source, source_complete, prefix)
+
+
+@pytest.mark.parametrize(
+    "betas, ks, beam, setting, problem",
+    [
+        ([0.5], [2, -1], 2, "beta=0.5 k=-1 beam=2", "mask_length must be >= 0, got -1"),
+        ([0.5, 1.5], [2], 2, "beta=1.5 k=2 beam=2", "bias_weight must be in [0, 1], got 1.5"),
+        ([0.5], [2], 0, "beta=0.5 k=2 beam=0", "beam_size must be >= 1, got 0"),
+    ],
+)
+def test_sweep_rejects_a_bad_setting_before_decoding(toy_model, toy_documents, betas, ks, beam, setting, problem):
+    model = CountingModel(toy_model)
+    with pytest.raises(ValueError, match=f"^sweep setting {re.escape(setting)}: {re.escape(problem)}$"):
+        sweep(model, toy_documents, betas, ks, beam_size=beam)
+    assert model.searches == 0
+
+
+class FailingModel:
+    def next_distribution(self, source, source_complete, prefix):
+        raise ValueError("no distribution")
+
+
+def test_sweep_failure_while_decoding_names_beta_and_document(toy_documents):
+    with pytest.raises(ValueError, match=r"^sweep failed at beta=0\.5 document=games\.jsonl: no distribution$"):
+        sweep(FailingModel(), toy_documents[:1], [0.5], [0, 2], beam_size=1)
+
+
+_REFERENCE_WORDS = ("X", "Y", "Z.", "W", "a")
+
+
+@st.composite
+def random_corpora(draw):
+    """A random table model and 1-3 documents over its words, each with a
+    reference cut into segments at random token borders."""
+    documents = []
+    for index in range(draw(st.integers(min_value=1, max_value=3))):
+        words = draw(st.lists(st.sampled_from(_SOURCE_WORDS), min_size=1, max_size=10))
+        clock = 0.0
+        tokens = []
+        for word in words:
+            clock += draw(st.integers(min_value=0, max_value=1500)) / 1000.0
+            tokens.append(TimedToken(word, clock))
+        cuts = draw(st.lists(st.booleans(), min_size=len(tokens) - 1, max_size=len(tokens) - 1))
+        borders = [0, *(at for at, cut in enumerate(cuts, 1) if cut), len(tokens)]
+        segments = tuple(
+            ReferenceSegment(
+                tuple(tokens[start:end]),
+                " ".join(draw(st.lists(st.sampled_from(_REFERENCE_WORDS), min_size=1, max_size=4))),
+            )
+            for start, end in zip(borders, borders[1:])
+        )
+        documents.append((f"d{index}.jsonl", TimedTranscript(tuple(tokens)), ReferenceDocument(segments)))
+    return draw(table_models()), documents
+
+
+def _sweep_outcome(sweep_fn, model, documents, betas, ks, beam_size, path):
+    """The saved rows' bytes, or the failure message up to its mask length."""
+    try:
+        rows = sweep_fn(model, documents, betas, ks, beam_size)
+    except ValueError as exc:
+        return str(exc).split(" k=")[0].split(" document=")[0]
+    save_sweep_rows(rows, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    random_corpus=random_corpora(),
+    toy_picks=st.lists(st.integers(min_value=0, max_value=4), max_size=3, unique=True),
+    betas=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=3),
+    ks=st.lists(st.sampled_from([0, 1, 2, 50]), min_size=1, max_size=3),
+    beam_size=st.integers(min_value=1, max_value=4),
+)
+def test_sweep_matches_the_per_setting_sweep(
+    tmp_path_factory, toy_model, toy_documents, random_corpus, toy_picks, betas, ks, beam_size
+):
+    # Picked toy documents run under the toy model, whose revisions make the
+    # bias target decide what is shown; with no pick the random corpus runs.
+    # k = 50 holds back more tokens than any translation in either has, and
+    # grids may repeat a value.  Both sweeps fail at the same bias weight or
+    # not at all, but may name another first failing k and document in it.
+    model, documents = random_corpus
+    if toy_picks:
+        model, documents = toy_model, [toy_documents[index] for index in toy_picks]
+    tmp_path = tmp_path_factory.mktemp("sweep")
+    counting = CountingModel(model)
+    outcome = _sweep_outcome(sweep, counting, documents, betas, ks, beam_size, tmp_path / "new.csv")
+    expected = _sweep_outcome(sweep_oracle.sweep, model, documents, betas, ks, beam_size, tmp_path / "old.csv")
+    assert outcome == expected
+    if isinstance(outcome, bytes):
+        words = sum(len(transcript) for _, transcript, _ in documents)
+        assert counting.searches == len(betas) * words
 
 
 def test_grid_parsers():
