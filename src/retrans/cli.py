@@ -24,14 +24,10 @@ from typing import Sequence
 from .align import lcp_len, mwer_segment, split_by_boundaries
 from .decoder import DecoderConfig, ScoringModel, load_table_model
 from .eventlog import EventLog, append_event, load_event_log, save_event_log, tokenize
+# bleu_corpus and token_lags go unused here: perfbench/tracing.py wraps them on this module.
 from .metrics import (
-    ReferenceDocument,
-    erasure,
-    evaluate_all,
-    bleu_corpus,
-    load_reference_document,
-    save_report,
-    token_lags,
+    ReferenceDocument, bleu_corpus, bleu_score, bleu_statistics, erasure, evaluate_all, lags_at,
+    load_reference_document, ngram_counts, save_report, source_positions, token_lags,
 )
 from .pipeline import (
     SessionState,
@@ -60,31 +56,53 @@ class SweepRow:
     normalized_erasure: float
 
 
+class _Scorer:
+    """Scores the sessions of one document: its reference is prepared once,
+    and each distinct final translation is segmented and scored once."""
+
+    def __init__(self, reference: ReferenceDocument) -> None:
+        self.reference = reference
+        self.refs = reference.reference_token_segments()
+        self.ref_counts = [ngram_counts(ref) for ref in self.refs]
+        self.times = reference.source_times()
+        self.finals: dict[str, tuple[list[int], tuple[float, ...]]] = {}  # BLEU statistics, source positions
+
+    def score(self, log: EventLog) -> tuple[list[int], list[float]]:
+        """The BLEU statistics of a session's final translation, and its token lags."""
+        final = log.events[-1].output_text
+        scored = self.finals.get(final)
+        if scored is None:
+            hyp = tokenize(final)
+            pieces = split_by_boundaries(hyp, mwer_segment(hyp, self.refs).boundaries)
+            scored = (bleu_statistics(pieces, self.ref_counts), source_positions(pieces, self.reference))
+        lags = lags_at(log, scored[1], self.times)
+        self.finals[final] = scored  # kept only once the lags show the final text is not empty
+        return scored[0], lags
+
+
 @dataclass(slots=True)
 class _Pool:
-    """One grid point's scores pooled over the documents scored so far."""
+    """One grid point's scores pooled over the documents scored so far, with
+    ``ref_len`` the token count of all the documents' references."""
 
-    pieces: list[list[str]] = field(default_factory=list)
-    refs: list[list[str]] = field(default_factory=list)
+    ref_len: int
+    statistics: list[int] = field(default_factory=lambda: [0] * 8)
     lags: list[float] = field(default_factory=list)
     erased: int = 0
-    final_tokens: int = 0
 
-    def add(self, log: EventLog, reference: ReferenceDocument, refs: list[list[str]]) -> None:
-        hyp = tokenize(log.events[-1].output_text)
-        self.pieces.extend(split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries))
-        self.refs.extend(refs)
-        self.lags.extend(token_lags(log, reference))
+    def add(self, log: EventLog, scorer: _Scorer) -> None:
+        statistics, lags = scorer.score(log)
+        self.statistics = [pooled + more for pooled, more in zip(self.statistics, statistics)]
+        self.lags.extend(lags)
         self.erased += sum(erasure(log))
-        self.final_tokens += len(hyp)
 
     def row(self, bias_weight: float, mask_length: int) -> SweepRow:
         return SweepRow(
             bias_weight,
             mask_length,
-            bleu_corpus(self.pieces, self.refs),
+            bleu_score(self.statistics, self.ref_len),
             math.fsum(self.lags) / len(self.lags),
-            self.erased / self.final_tokens,
+            self.erased / len(self.lags),  # one lag per final token
         )
 
 
@@ -97,15 +115,17 @@ def sweep(
 ) -> list[SweepRow]:
     """Simulate and evaluate every document under every setting.
 
-    BLEU is computed corpus-wide by pooling all documents' segment pairs;
-    lag and erasure are pooled per token, which equals averaging per-document
-    scores weighted by their final output token counts.  Rows come out
-    ordered by the grids, bias weights outermost.
+    BLEU is computed corpus-wide by pooling all documents' per-segment
+    statistics; lag and erasure are pooled per token, which equals averaging
+    per-document scores weighted by their final output token counts.  Rows
+    come out ordered by the grids, bias weights outermost.
 
     The mask only changes the display: the search is biased toward the
     previous *unmasked* translation.  So each (bias weight, document) pair
     is decoded once, and each decoded state is shown under every mask
     length into that length's log, scored as soon as the document ends.
+    The references are counted once per sweep, and each distinct final
+    translation of a document is segmented and scored once.
 
     Every setting and every transcript is checked before anything is
     decoded: an out-of-range setting fails naming it, and a transcript that
@@ -125,16 +145,17 @@ def sweep(
                 raise ValueError(
                     f"sweep setting beta={bias_weight!r} k={mask_length} beam={beam_size}: {exc}"
                 ) from None
-    references = []
+    scorers = []
     for name, transcript, reference in documents:
         words = [tok.token for tok in transcript.tokens]
         _check_source(words, f"document {name}: the transcript", reference, "its reference's source")
-        references.append(reference.reference_token_segments())
+        scorers.append(_Scorer(reference))
+    ref_len = sum(len(ref) for scorer in scorers for ref in scorer.refs)
     rows = []
     for bias_weight in bias_weights:
         config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight)
-        pools = {mask_length: _Pool() for mask_length in mask_lengths}
-        for (name, transcript, reference), refs in zip(documents, references):
+        pools = {mask_length: _Pool(ref_len) for mask_length in mask_lengths}
+        for (name, transcript, _), scorer in zip(documents, scorers):
             logs = dict.fromkeys(pools, EventLog())
             state = SessionState()
             try:
@@ -146,7 +167,7 @@ def sweep(
                 raise ValueError(f"sweep failed at beta={bias_weight!r} document={name}: {exc}") from None
             for mask_length, log in logs.items():
                 try:
-                    pools[mask_length].add(log, reference, refs)
+                    pools[mask_length].add(log, scorer)
                 except ValueError as exc:
                     raise ValueError(
                         f"sweep failed at beta={bias_weight!r} k={mask_length} document={name}: {exc}"

@@ -1,8 +1,9 @@
 """Session-level evaluation on three axes: quality, latency and stability.
 
-Quality is corpus BLEU computed after re-segmenting the session's final
-translation against the reference segments (the session translates an
-unsegmented stream, so its output has no segment borders of its own).
+Quality is corpus BLEU, pooled from per-segment n-gram statistics, computed
+after re-segmenting the session's final translation against the reference
+segments (the session translates an unsegmented stream, so its output has
+no segment borders of its own).
 Latency is translation lag: for each token of the final translation, the
 time it stopped changing minus the time its corresponding source words were
 spoken.  Stability is normalized erasure: how many displayed tokens were
@@ -203,8 +204,12 @@ def correspondence(log: EventLog, doc: ReferenceDocument, mode: str = "segment")
     if mode != "segment":
         raise ValueError(f'correspondence mode must be "segment" or "document", got {mode!r}')
 
-    refs = doc.reference_token_segments()
-    pieces = split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries)
+    pieces = split_by_boundaries(hyp, mwer_segment(hyp, doc.reference_token_segments()).boundaries)
+    return source_positions(pieces, doc)
+
+
+def source_positions(pieces: Sequence[Sequence[str]], doc: ReferenceDocument) -> tuple[float, ...]:
+    """Segment-mode :func:`correspondence` of a final translation cut into reference pieces."""
     positions = []
     source_start = 0
     for piece, segment in zip(pieces, doc.segments):
@@ -236,19 +241,53 @@ def token_lags(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> 
     """
     if not log.events:
         raise ValueError("lag needs at least one event")
-    if not tokenize(log.events[-1].output_text):
-        raise ValueError("lag is undefined for an empty final translation")
+    return lags_at(log, correspondence(log, doc, mode=mode), doc.source_times())
+
+
+def lags_at(log: EventLog, positions: Sequence[float], times: Sequence[float]) -> list[float]:
+    """:func:`token_lags` from the final tokens' source positions and the source times."""
     indices = finalization(log)
-    positions = correspondence(log, doc, mode=mode)
-    times = doc.source_times()
-    return [
-        log.events[i - 1].time - _time_at(times, position)
-        for i, position in zip(indices, positions)
-    ]
+    if not indices:
+        raise ValueError("lag is undefined for an empty final translation")
+    return [log.events[i - 1].time - _time_at(times, position) for i, position in zip(indices, positions)]
 
 
 # ---------------------------------------------------------------------------
 # Quality
+
+
+def ngram_counts(tokens: Sequence[str]) -> Counter:
+    """The counts of the n-grams of ``tokens`` for n = 1..4, keyed by the n-gram as a tuple."""
+    return Counter(tuple(tokens[i:i + n]) for n in range(1, 5) for i in range(len(tokens) - n + 1))
+
+
+def bleu_statistics(hypotheses: Sequence[Sequence[str]], reference_counts: Sequence[Counter]) -> list[int]:
+    """Clipped n-gram matches for n = 1..4, then possible n-gram counts,
+    summed over parallel segments.  A reference comes as its
+    :func:`ngram_counts`, so it is counted only once."""
+    if len(hypotheses) != len(reference_counts):
+        raise ValueError("hypothesis and reference segment counts differ")
+    statistics = [0] * 8
+    for hyp, ref_counts in zip(hypotheses, reference_counts):
+        for gram, count in ngram_counts(hyp).items():
+            statistics[len(gram) - 1] += min(count, ref_counts[gram])
+        for n in range(min(len(hyp), 4)):
+            statistics[4 + n] += len(hyp) - n
+    return statistics
+
+
+def bleu_score(statistics: Sequence[int], ref_len: int) -> float:
+    """Corpus BLEU, as a percentage, from :func:`bleu_statistics` summed over
+    a corpus whose references hold ``ref_len`` tokens.  Its hypotheses hold
+    as many tokens as there are possible unigrams."""
+    if ref_len == 0:
+        raise ValueError("BLEU is undefined for an empty reference corpus")
+    if 0 in statistics:
+        return 0.0
+    hyp_len = statistics[4]
+    log_precision = math.fsum(math.log(m / p) for m, p in zip(statistics[:4], statistics[4:])) / 4.0
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * brevity * math.exp(log_precision)
 
 
 def bleu_corpus(hypotheses: Sequence[Sequence[str]], references: Sequence[Sequence[str]]) -> float:
@@ -258,31 +297,11 @@ def bleu_corpus(hypotheses: Sequence[Sequence[str]], references: Sequence[Sequen
     over the corpus, geometric mean, multiplicative brevity penalty.  No
     smoothing: if any n-gram order has zero matches the score is 0.0, which
     also covers empty hypotheses.  A reference corpus with no tokens at all
-    raises ``ValueError``.
+    raises ``ValueError``.  The score is pooled from per-segment statistics:
+    :func:`bleu_statistics`, then :func:`bleu_score`.
     """
-    if len(hypotheses) != len(references):
-        raise ValueError("hypothesis and reference segment counts differ")
-    ref_len = sum(len(ref) for ref in references)
-    if ref_len == 0:
-        raise ValueError("BLEU is undefined for an empty reference corpus")
-    hyp_len = sum(len(hyp) for hyp in hypotheses)
-
-    matched = [0] * 4
-    possible = [0] * 4
-    for hyp, ref in zip(hypotheses, references):
-        for n in range(1, 5):
-            if len(hyp) < n:
-                break
-            hyp_counts = Counter(tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1))
-            ref_counts = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
-            possible[n - 1] += len(hyp) - n + 1
-            matched[n - 1] += sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
-
-    if any(p == 0 for p in possible) or any(m == 0 for m in matched):
-        return 0.0
-    log_precision = math.fsum(math.log(m / p) for m, p in zip(matched, possible)) / 4.0
-    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * brevity * math.exp(log_precision)
+    statistics = bleu_statistics(hypotheses, [ngram_counts(ref) for ref in references])
+    return bleu_score(statistics, sum(len(ref) for ref in references))
 
 
 def evaluate_quality(log: EventLog, doc: ReferenceDocument) -> float:

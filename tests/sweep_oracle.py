@@ -4,8 +4,11 @@ own, kept as the oracle for :func:`retrans.cli.sweep`, which decodes each
 
 Each setting replays every document through :mod:`replay_oracle`'s
 rebuilding ``run_simulation``, so neither the decode/display split of
-:mod:`retrans.pipeline` nor the mask fan-out is trusted.  Slow (|k| times
-the decoding), but obviously right.
+:mod:`retrans.pipeline` nor the mask fan-out is trusted.  Each session is
+segmented on its own and its pieces pooled for :mod:`bleu_oracle`, so
+neither the per-document memo of final translations nor pooled BLEU
+statistics are trusted either.  Slow (|k| times the decoding), but
+obviously right.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ import math
 from typing import Sequence
 
 import replay_oracle
+from bleu_oracle import bleu_corpus
 from retrans.align import mwer_segment, split_by_boundaries
 from retrans.cli import SweepRow, _check_source
 from retrans.decoder import DecoderConfig, ScoringModel
 from retrans.eventlog import tokenize
-from retrans.metrics import ReferenceDocument, bleu_corpus, erasure, token_lags
+from retrans.metrics import ReferenceDocument, erasure, token_lags
 from retrans.pipeline import TimedTranscript
 
 

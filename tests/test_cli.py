@@ -10,6 +10,7 @@ import shutil
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import retrans.cli
 import sweep_oracle
 from retrans import (
     DecoderConfig,
@@ -35,7 +36,9 @@ from retrans.cli import (
     save_sweep_rows,
     sweep,
 )
+from retrans.align import mwer_segment
 from retrans.decoder import EOS_TOKEN
+from retrans.eventlog import tokenize
 from retrans.pipeline import TimedTranscript
 
 from conftest import TOY_DIR
@@ -346,6 +349,62 @@ def test_sweep_matches_the_per_setting_sweep(
     if isinstance(outcome, bytes):
         words = sum(len(transcript) for _, transcript, _ in documents)
         assert counting.searches == len(betas) * words
+
+
+_GRID = ([0.0, 0.25, 0.5, 0.75, 1.0], [0, 1, 2, 3, 4])
+
+
+def _counting_segmentations(monkeypatch) -> list[tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]]:
+    """Patch the sweep's segmentation to record each call's hypothesis and references."""
+    calls = []
+
+    def counting(hyp, refs):
+        calls.append((tuple(hyp), tuple(map(tuple, refs))))
+        return mwer_segment(hyp, refs)
+
+    monkeypatch.setattr(retrans.cli, "mwer_segment", counting)
+    return calls
+
+
+def _without_final_period(document):
+    """``document`` with the period stripped from its last source word, in
+    the transcript and the reference: its last sentence never completes, so
+    the mask holds back the end of the final translation."""
+    name, transcript, reference = document
+    last = transcript.tokens[-1]
+    cut = TimedToken(last.token.removesuffix("."), last.time)
+    final = reference.segments[-1]
+    segments = (*reference.segments[:-1], ReferenceSegment((*final.source_tokens[:-1], cut), final.reference_text))
+    return name, TimedTranscript((*transcript.tokens[:-1], cut)), ReferenceDocument(segments)
+
+
+def test_sweep_segments_each_distinct_final_translation_once(monkeypatch, tmp_path, toy_model, toy_documents):
+    # Without its final period the news document ends on another text per
+    # k, so a memo keyed by the document alone would score the wrong text.
+    news = next(doc for doc in toy_documents if doc[0] == "news.jsonl")
+    games = next(doc for doc in toy_documents if doc[0] == "games.jsonl")
+    documents = [_without_final_period(news), games]
+    betas, ks = _GRID
+    finals = {name: set() for name, _, _ in documents}
+    for name, transcript, _ in documents:
+        for bias_weight in betas:
+            for mask_length in ks:
+                config = DecoderConfig(beam_size=2, bias_weight=bias_weight, mask_length=mask_length)
+                finals[name].add(tuple(tokenize(run_simulation(transcript, toy_model, config).events[-1].output_text)))
+    assert len(finals["news.jsonl"]) > 1
+    refs = {name: tuple(map(tuple, reference.reference_token_segments())) for name, _, reference in documents}
+    calls = _counting_segmentations(monkeypatch)
+    save_sweep_rows(sweep(toy_model, documents, betas, ks, beam_size=2), tmp_path / "new.csv")
+    assert sorted(calls) == sorted((hyp, refs[name]) for name, hyps in finals.items() for hyp in hyps)
+    save_sweep_rows(sweep_oracle.sweep(toy_model, documents, betas, ks, beam_size=2), tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_sweep_segments_each_toy_document_at_most_once_per_bias_weight(monkeypatch, toy_model, toy_documents):
+    calls = _counting_segmentations(monkeypatch)
+    betas, ks = _GRID
+    sweep(toy_model, toy_documents, betas, ks, beam_size=2)
+    assert 0 < len(calls) <= len(betas) * len(toy_documents)
 
 
 def test_grid_parsers():
