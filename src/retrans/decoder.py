@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from .eventlog import tokenize
+from .eventlog import tokenize, utf8_file
 
 EOS_TOKEN = "</s>"
 END_OF_SOURCE = "⟨END⟩"  # context marker: the source sentence ends here
@@ -119,7 +119,7 @@ def load_table_model(path: str | Path) -> TableModel:
     entry without the ``∗`` fallback for that word.
     """
     table: dict[tuple[str, str], dict[str, float]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with utf8_file(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -4,8 +4,8 @@ A session is recorded as a sequence of timestamped snapshots: whenever the
 source transcript or the displayed translation changes, the new pair of
 texts is appended together with the wall-clock time of the change.  The log
 is the single input to every downstream metric, so the on-disk format is
-kept deliberately small: one JSON object per line with keys "t", "src" and
-"out", ordered by time.
+kept deliberately small: UTF-8 JSON, one object per line with keys "t", "src"
+and "out", ordered by time, whose texts escape only ``"``, ``\\`` and U+0000 to U+001F.
 
 Timestamps are seconds.  Text is compared token-wise everywhere in this
 package, and :func:`tokenize` is the one tokenizer all modules share.
@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 
 def tokenize(text: str) -> list[str]:
@@ -100,12 +102,27 @@ def is_json_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+@contextmanager
+def utf8_file(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file to read; bytes that are not UTF-8 raise ``ValueError`` naming the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError:  # only a file that failed is read again, to find the line
+        for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not valid UTF-8: {exc}") from None
+        raise
+
+
 def jsonl_records(path: str | Path, *keys: str) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL
     file.  A line that is not JSON, or not an object with exactly ``keys``,
     raises ``ValueError`` naming the file and line."""
     wanted = set(keys)
-    with open(path, "r", encoding="utf-8") as handle:
+    with utf8_file(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
             if not line:
@@ -167,21 +184,28 @@ def format_seconds(value: float) -> str:
     return text + "0" if text.endswith(".") else text
 
 
-def _event_line(event: Event) -> str:
-    # Built by hand so the byte layout is pinned down, not left to json.dumps
-    # float formatting.
-    return '{"t": %s, "src": %s, "out": %s}' % (
-        format_seconds(event.time),
-        json.dumps(event.source_text, ensure_ascii=False),
-        json.dumps(event.output_text, ensure_ascii=False),
-    )
+def _escaped_body(text: str, last: str, last_body: bytes) -> bytes:
+    """``text`` as an unquoted UTF-8 JSON string.  Escaping and encoding act per
+    character, so a ``text`` that extends ``last`` only appends to ``last_body``."""
+    if text.startswith(last):
+        return last_body + encode_basestring(text[len(last):])[1:-1].encode("utf-8")
+    return encode_basestring(text)[1:-1].encode("utf-8")
 
 
 def save_event_log(log: EventLog, path: str | Path) -> None:
-    """Write ``log`` as JSONL, one event per line, ordered by time."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for event in log.events:
-            handle.write(_event_line(event) + "\n")
+    """Write ``log`` as JSONL, one event per line, ordered by time: UTF-8 lines
+    ``{"t": T, "src": S, "out": O}`` with ``T`` by :func:`format_seconds` and texts as
+    ``json.dumps(..., ensure_ascii=False)`` escapes them: only ``"``, ``\\``, U+0000-U+001F."""
+    src_body = out_body = b""
+    with open(path, "wb") as handle:  # five writes a line: joining copies each snapshot again
+        for last, event in zip((Event(0.0, "", ""),) + log.events, log.events):
+            src_body = _escaped_body(event.source_text, last.source_text, src_body)
+            out_body = _escaped_body(event.output_text, last.output_text, out_body)
+            handle.write(b'{"t": %s, "src": "' % format_seconds(event.time).encode())
+            handle.write(src_body)
+            handle.write(b'", "out": "')
+            handle.write(out_body)
+            handle.write(b'"}\n')
 
 
 def load_event_log(path: str | Path) -> EventLog:

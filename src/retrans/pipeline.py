@@ -43,6 +43,7 @@ from .eventlog import (
     jsonl_records,
     parse_timed_token,
     tokenize,
+    utf8_file,
 )
 
 _SENTENCE_FINAL = (".", "!", "?")
@@ -80,6 +81,11 @@ def load_transcript(path: str | Path) -> TimedTranscript:
         if tokens and token.time < tokens[-1].time:
             raise ValueError(f"{path}: line {lineno}: transcript times must be non-decreasing")
         tokens.append(token)
+    try:  # one check per file; only a failure looks for the line
+        "".join([token.token for token in tokens]).encode("utf-8")
+    except UnicodeEncodeError as exc:  # at the first lone surrogate, which no earlier token holds
+        lineno = next(n for n, item in jsonl_records(path, "w", "time") if exc.object[exc.start] in item["w"])
+        raise ValueError(f'{path}: line {lineno}: "w" holds the lone surrogate {exc.object[exc.start]!r}') from None
     return TimedTranscript(tuple(tokens))
 
 
@@ -95,7 +101,7 @@ def load_captions(path: str | Path) -> TimedTranscript:
     """
     tokens: list[TimedToken] = []
     last_end = 0.0
-    with open(path, "r", encoding="utf-8") as handle:
+    with utf8_file(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
             if not line.strip():

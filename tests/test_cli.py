@@ -10,6 +10,7 @@ import shutil
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eventlog_oracle
 import retrans.cli
 import sweep_oracle
 from retrans import (
@@ -624,6 +625,43 @@ def test_simulate_rejects_a_non_finite_delay(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: delay must be finite and >= 0, got nan\n"
     assert not out.exists()
+
+
+def _simulate_argv(transcript, out):
+    return [
+        "simulate",
+        "--model", str(TOY_DIR / "model.tsv"),
+        "--transcript", str(transcript),
+        "--beta", "0.5",
+        "--k", "1",
+        "--beam", "2",
+        "--out", str(out),
+    ]
+
+
+def test_simulate_rejects_a_lone_surrogate_before_writing(tmp_path, capsys):
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text('{"w": "die", "time": 0.0}\n{"w": "a\\ud800", "time": 0.5}\n', encoding="utf-8")
+    out = tmp_path / "events.jsonl"
+    assert main(_simulate_argv(transcript, out)) == 1
+    assert capsys.readouterr().err == f"error: {transcript}: line 2: \"w\" holds the lone surrogate '\\ud800'\n"
+    assert not out.exists()
+
+
+def test_simulate_keeps_an_escaped_surrogate_pair(tmp_path):
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(
+        '{"w": "die", "time": 0.0}\n{"w": "\\ud83d\\ude00.", "time": 0.5}\n{"w": "bank", "time": 1.0}\n',
+        encoding="utf-8",
+    )
+    out, again = tmp_path / "events.jsonl", tmp_path / "again.jsonl"
+    assert main(_simulate_argv(transcript, out)) == 0
+    log = load_event_log(out)
+    assert log.events[-1].source_text == "die \U0001f600. bank"
+    assert "\U0001f600" in log.events[-1].output_text
+    save_event_log(log, again)
+    eventlog_oracle.save_event_log(log, tmp_path / "oracle.jsonl")
+    assert again.read_bytes() == out.read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("ceiling", ["nan", "-0.1", "abc"])

@@ -1,11 +1,25 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+import re
 
-from retrans import Event, EventLog, append_event, load_event_log, save_event_log, tokenize
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from retrans import (
+    Event,
+    EventLog,
+    append_event,
+    load_captions,
+    load_event_log,
+    load_reference_document,
+    load_table_model,
+    load_transcript,
+    save_event_log,
+    tokenize,
+)
 from retrans.eventlog import format_seconds
 
+import eventlog_oracle
 import replay_oracle
 from conftest import build_log
 
@@ -203,3 +217,58 @@ def test_random_logs_round_trip(tmp_path_factory, records):
     save_event_log(log, path)
     reloaded = load_event_log(path)
     assert reloaded == log
+
+
+# Every character class the escaping treats apart: plain, the two escaped
+# printables, control characters, DEL and U+2028 (not escaped), two- and
+# three-byte UTF-8, and a non-BMP character.
+_CHARACTERS = ["a", " ", '"', "\\", "\x00", "\x1f", "\x7f", "ü", "€", "\u2028", "\U0001f600"]
+_pieces = st.text(alphabet=st.sampled_from(_CHARACTERS), max_size=6)
+
+
+@st.composite
+def _next_text(draw, last: str) -> str:
+    """The text after ``last``: it extends, repeats, shrinks or diverges mid-text."""
+    kind = draw(st.sampled_from(["extend", "repeat", "shrink", "diverge"]))
+    if kind == "extend":
+        return last + draw(_pieces)
+    if kind == "repeat":
+        return last
+    cut = draw(st.integers(min_value=0, max_value=len(last)))
+    return last[:cut] if kind == "shrink" else last[:cut] + draw(_pieces.filter(bool))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_save_matches_the_whole_snapshot_writer(tmp_path_factory, data):
+    log, clock, src, out = EventLog(), 0.0, "", ""
+    for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+        src, out = data.draw(_next_text(src)), data.draw(_next_text(out))
+        clock += data.draw(st.integers(min_value=0, max_value=2500)) / 1000.0
+        log = append_event(log, Event(round(clock, 3), src, out))
+    directory = tmp_path_factory.mktemp("logs")
+    save_event_log(log, directory / "log.jsonl")
+    eventlog_oracle.save_event_log(log, directory / "oracle.jsonl")
+    assert (directory / "log.jsonl").read_bytes() == (directory / "oracle.jsonl").read_bytes()
+    assert load_event_log(directory / "log.jsonl") == log
+
+
+@pytest.mark.parametrize(
+    "reader, first_line, bad_line",
+    [
+        (load_transcript, '{"w": "a", "time": 0.0}', b'{"w": "\xff", "time": 1.0}'),
+        (load_reference_document, '{"src": [{"w": "a", "time": 0.0}], "ref": "x"}', b'{"src": [], "ref": "\xff"}'),
+        (load_event_log, '{"t": 0.0, "src": "a", "out": "x"}', b'{"t": 1.0, "src": "\xff", "out": "x"}'),
+        (load_table_model, "a\t\u2217\tx\t1.0", b"b\t\xe2\x88\tx\t1.0"),
+        (load_captions, "0.0\t1.0\ta", b"1.0\t2.0\t\xff"),
+    ],
+    ids=["transcript", "reference", "event_log", "table_model", "captions"],
+)
+def test_readers_name_the_file_and_line_of_invalid_utf8(tmp_path, reader, first_line, bad_line):
+    # The bad byte lies past the first 8 KiB, where a decoding error's own
+    # position no longer counts from the start of the file.
+    path = tmp_path / "input"
+    path.write_bytes(first_line.encode("utf-8") + b"\n" * 9000 + bad_line + b"\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 9001: not valid UTF-8: 'utf-8' codec"):
+        reader(path)
+

@@ -326,3 +326,15 @@ def test_load_transcript_errors(tmp_path):
     path.write_text('{"w": "a", "time": 1.0, "x": 2}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         load_transcript(path)
+
+
+def test_load_transcript_names_the_line_of_a_lone_surrogate(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"w": "ok", "time": 0.0}\n\n{"w": "a\\ud800", "time": 0.5}\n', encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_transcript(path)
+    assert str(excinfo.value) == f"{path}: line 3: \"w\" holds the lone surrogate '\\ud800'"
+    # An escaped surrogate pair is one character, not a lone surrogate.
+    path.write_text('{"w": "ok", "time": 0.0}\n{"w": "a\\ud83d\\ude00", "time": 0.5}\n', encoding="utf-8")
+    assert [token.token for token in load_transcript(path).tokens] == ["ok", "a\U0001f600"]
+
