@@ -1,8 +1,9 @@
 """Replay a timed transcript through the translator and record what a
 viewer would have seen.
 
-The stream is split into sentences as it grows; only the last, possibly
-still incomplete sentence is ever (re)translated.  Completed sentences are
+Only the last, possibly still incomplete sentence, the live sentence, is
+ever (re)translated, and each step splits only its words plus the fed
+tokens: every cut before it is final.  Completed sentences are
 translated once more with the end of the sentence in view, then frozen:
 their translations never change again.  The display is the frozen
 translations followed by the masked translation of the live sentence, and
@@ -152,18 +153,19 @@ class SessionState:
     """What the next :func:`advance` reads, and what :func:`display_event`
     shows.
 
-    ``words`` are the source words fed so far and ``last_time`` the time of
-    the last of them (0.0 before the first feed).  ``source_text`` is
-    ``words`` joined by single spaces, and ``frozen_text`` is every frozen
-    translation token followed by one space: the running texts each event
-    extends.  ``frozen_translations`` holds one finished translation per
-    completed sentence, in order.  ``previous_unmasked`` is the incomplete
-    last sentence's latest unmasked translation, empty once the last
-    sentence is complete: the bias target of its next retranslation and
-    the tail the display masks.
+    ``live`` holds the words of the incomplete last sentence (empty once it
+    is complete), the only words the next split reads, and ``last_time``
+    the time of the last fed word (0.0 before the first feed).
+    ``source_text`` joins every word fed so far by single spaces, and
+    ``frozen_text`` is every frozen translation token followed by one space:
+    the running texts each event extends.  ``frozen_translations`` holds one
+    finished translation per completed sentence, in order.
+    ``previous_unmasked`` is the live sentence's latest unmasked
+    translation: the bias target of its next retranslation and the tail the
+    display masks.
     """
 
-    words: tuple[str, ...] = ()
+    live: tuple[str, ...] = ()
     last_time: float = 0.0
     source_text: str = ""
     frozen_text: str = ""
@@ -193,17 +195,14 @@ def advance(
         raise ValueError("new tokens must not precede the transcript seen so far")
 
     fed = tuple(tok.token for tok in new_tokens)
-    words = state.words + fed
-    sentences, last_complete = split_sentences(words)
+    sentences, last_complete = split_sentences(state.live + fed)  # the frozen prefix ends at a cut
 
     frozen = state.frozen_translations
     frozen_text = state.frozen_text
-    live_index = len(frozen)  # the sentence state.previous_unmasked belongs to
     previous_unmasked: tuple[str, ...] = ()
-    for index in range(live_index, len(sentences)):
-        sentence = sentences[index]
+    for index, sentence in enumerate(sentences):
         complete = last_complete or index < len(sentences) - 1
-        bias_target = state.previous_unmasked if index == live_index else ()
+        bias_target = state.previous_unmasked if index == 0 else ()  # sentence 0 is state.live's
         translated = biased_beam_search(
             model,
             sentence,
@@ -218,7 +217,8 @@ def advance(
 
     joined = " ".join(fed)
     source_text = f"{state.source_text} {joined}" if state.source_text else joined
-    return SessionState(words, new_tokens[-1].time, source_text, frozen_text, frozen, previous_unmasked)
+    live = () if last_complete else tuple(sentences[-1])
+    return SessionState(live, new_tokens[-1].time, source_text, frozen_text, frozen, previous_unmasked)
 
 
 def display_event(state: SessionState, mask_length: int, delay: float = 0.0) -> Event:

@@ -2,9 +2,12 @@
 oracle for the running-text replay in :mod:`retrans.pipeline` and the
 prefix-trusting :func:`retrans.eventlog.append_event`.
 
-Each step re-joins every source word and every frozen token, and each
-append builds the grown log through the validating ``EventLog``
-constructor.  Slow (quadratic in the session), but obviously right.
+Each step re-splits and re-joins every source word and every frozen token,
+and each append builds the grown log through the validating ``EventLog``
+constructor.  Slow (quadratic in the session), but obviously right.  The
+sentence splitter is its own, so the live-sentence carry of
+:func:`retrans.pipeline.advance` is checked against a whole-prefix split
+that shares no code with it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,20 @@ from typing import Sequence
 
 from retrans.decoder import DecoderConfig, ScoringModel, biased_beam_search, mask_tail
 from retrans.eventlog import Event, EventLog, TimedToken, _is_change
-from retrans.pipeline import TimedTranscript, split_sentences
+from retrans.pipeline import TimedTranscript
+
+
+def split_sentences(words: Sequence[str]) -> tuple[list[list[str]], bool]:
+    """Cut after every word whose last character is '.', '!' or '?'; the
+    flag says whether the last sentence is complete."""
+    sentences: list[list[str]] = [[]]
+    for word in words:
+        sentences[-1].append(word)
+        if word[-1:] in (".", "!", "?"):
+            sentences.append([])
+    if sentences[-1]:
+        return sentences, False
+    return sentences[:-1], True
 
 
 def append_event(log: EventLog, event: Event) -> EventLog:

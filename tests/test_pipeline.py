@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import replay_oracle
+import retrans.pipeline as pipeline
 from retrans import (
     ANY_CONTEXT,
     DecoderConfig,
@@ -202,6 +203,45 @@ def test_deep_mask_never_erases(toy_model, toy_documents):
 
 
 # ---------------------------------------------------------------------------
+# Split work: a step splits its live sentence and its feed, never the prefix
+
+
+@pytest.mark.parametrize("chunk_size", [1, 3])
+def test_a_step_splits_only_the_live_sentence_and_the_feed(monkeypatch, toy_model, toy_documents, chunk_size):
+    tokens, offset = [], 0.0
+    for _, transcript, _ in toy_documents:
+        tokens.extend(TimedToken(tok.token, tok.time + offset) for tok in transcript.tokens)
+        offset = tokens[-1].time + 1.0
+    split_tokens, states = [], []
+    split, advance = pipeline.split_sentences, pipeline.advance
+
+    def counting_split(words):
+        split_tokens.append(len(words))
+        return split(words)
+
+    def recording_advance(*args):
+        states.append(advance(*args))
+        return states[-1]
+
+    monkeypatch.setattr(pipeline, "split_sentences", counting_split)
+    monkeypatch.setattr(pipeline, "advance", recording_advance)
+    config = DecoderConfig(beam_size=2, bias_weight=0.5, mask_length=2)
+    run_simulation(TimedTranscript(tuple(tokens)), toy_model, config, chunk_size)
+
+    # The live sentence, kept by hand: the words since the last one that
+    # ends in '.', '!' or '?'.
+    expected_tokens, expected_live, live = [], [], []
+    for start in range(0, len(tokens), chunk_size):
+        feed = [tok.token for tok in tokens[start:start + chunk_size]]
+        expected_tokens.append(len(live) + len(feed))
+        for word in feed:
+            live = [] if word[-1] in ".!?" else live + [word]
+        expected_live.append(tuple(live))
+    assert split_tokens == expected_tokens
+    assert [state.live for state in states] == expected_live
+
+
+# ---------------------------------------------------------------------------
 # Differential test: the running-text replay against the rebuilding one
 
 _SOURCE_WORDS = ("a", "b", "c", "a.", "b?", "c!")
@@ -250,6 +290,8 @@ def assert_replays_agree(tmp_path, transcript, model, config, chunk_size, delay)
         assert event == oracle_event
         assert state.frozen_translations == oracle_state.frozen_translations
         assert state.previous_unmasked == oracle_state.previous_unmasked
+        sentences, last_complete = replay_oracle.split_sentences([tok.token for tok in oracle_state.transcript])
+        assert state.live == (() if last_complete else tuple(sentences[-1]))
     log = run_simulation(transcript, model, config, chunk_size, delay)
     save_event_log(log, tmp_path / "new.jsonl")
     assert load_event_log(tmp_path / "new.jsonl") == log
