@@ -23,17 +23,17 @@ from typing import Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
 from .decoder import DecoderConfig, ScoringModel, load_table_model
-from .eventlog import EventLog, append_event, load_event_log, save_event_log, tokenize
-# bleu_corpus and token_lags go unused here: perfbench/tracing.py wraps them on this module.
+from .eventlog import format_seconds, load_event_log, save_event_log, tokenize
+# bleu_corpus, erasure and token_lags go unused here: perfbench/tracing.py wraps them on this module.
 from .metrics import (
-    ReferenceDocument, bleu_corpus, bleu_score, bleu_statistics, erasure, evaluate_all, lags_at,
-    load_reference_document, ngram_counts, save_report, source_positions, token_lags,
+    DisplayFold, ReferenceDocument, bleu_corpus, bleu_score, bleu_statistics, erasure, evaluate_all, lags_at,
+    load_reference_document, ngram_counts, save_report, source_positions, spoken_times, token_lags,
 )
 from .pipeline import (
     SessionState,
     TimedTranscript,
     advance,
-    display_event,
+    display_text,
     load_captions,
     load_transcript,
     run_simulation,
@@ -65,19 +65,16 @@ class _Scorer:
         self.refs = reference.reference_token_segments()
         self.ref_counts = [ngram_counts(ref) for ref in self.refs]
         self.times = reference.source_times()
-        self.finals: dict[str, tuple[list[int], tuple[float, ...]]] = {}  # BLEU statistics, source positions
+        self.finals: dict[str, tuple[list[int], list[float]]] = {}  # BLEU statistics, spoken times
 
-    def score(self, log: EventLog) -> tuple[list[int], list[float]]:
-        """The BLEU statistics of a session's final translation, and its token lags."""
-        final = log.events[-1].output_text
-        scored = self.finals.get(final)
-        if scored is None:
-            hyp = tokenize(final)
+    def final(self, text: str) -> tuple[list[int], list[float]]:
+        """The BLEU statistics of a final translation, and its tokens' spoken times."""
+        if text not in self.finals:
+            hyp = tokenize(text)
             pieces = split_by_boundaries(hyp, mwer_segment(hyp, self.refs).boundaries)
-            scored = (bleu_statistics(pieces, self.ref_counts), source_positions(pieces, self.reference))
-        lags = lags_at(log, scored[1], self.times)
-        self.finals[final] = scored  # kept only once the lags show the final text is not empty
-        return scored[0], lags
+            positions = source_positions(pieces, self.reference)
+            self.finals[text] = (bleu_statistics(pieces, self.ref_counts), spoken_times(positions, self.times))
+        return self.finals[text]
 
 
 @dataclass(slots=True)
@@ -90,11 +87,11 @@ class _Pool:
     lags: list[float] = field(default_factory=list)
     erased: int = 0
 
-    def add(self, log: EventLog, scorer: _Scorer) -> None:
-        statistics, lags = scorer.score(log)
+    def add(self, fold: DisplayFold, event_times: list[float], scorer: _Scorer) -> None:
+        statistics, spoken = scorer.final(fold.display)
+        self.lags.extend(lags_at(fold.changed, event_times, spoken))
         self.statistics = [pooled + more for pooled, more in zip(self.statistics, statistics)]
-        self.lags.extend(lags)
-        self.erased += sum(erasure(log))
+        self.erased += sum(fold.erased)
 
     def row(self, bias_weight: float, mask_length: int) -> SweepRow:
         return SweepRow(
@@ -123,9 +120,10 @@ def sweep(
     The mask only changes the display: the search is biased toward the
     previous *unmasked* translation.  So each (bias weight, document) pair
     is decoded once, and each decoded state is shown under every mask
-    length into that length's log, scored as soon as the document ends.
-    The references are counted once per sweep, and each distinct final
-    translation of a document is segmented and scored once.
+    length into that length's :class:`~retrans.metrics.DisplayFold`, scored
+    with the events' times as soon as the document ends.  The references
+    are counted once per sweep, and each distinct final translation of a
+    document is segmented and scored once.
 
     Every setting and every transcript is checked before anything is
     decoded: an out-of-range setting fails naming it, and a transcript that
@@ -156,18 +154,20 @@ def sweep(
         config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight)
         pools = {mask_length: _Pool(ref_len) for mask_length in mask_lengths}
         for (name, transcript, _), scorer in zip(documents, scorers):
-            logs = dict.fromkeys(pools, EventLog())
+            folds = {mask_length: DisplayFold() for mask_length in pools}
+            event_times = []
             state = SessionState()
             try:
                 for token in transcript.tokens:
                     state = advance(state, (token,), model, config)
-                    for mask_length, log in logs.items():
-                        logs[mask_length] = append_event(log, display_event(state, mask_length))
+                    event_times.append(float(format_seconds(state.last_time)))  # as display_event stamps it
+                    for mask_length, fold in folds.items():
+                        fold.add(display_text(state, mask_length))
             except ValueError as exc:
                 raise ValueError(f"sweep failed at beta={bias_weight!r} document={name}: {exc}") from None
-            for mask_length, log in logs.items():
+            for mask_length, fold in folds.items():
                 try:
-                    pools[mask_length].add(log, scorer)
+                    pools[mask_length].add(fold, event_times, scorer)
                 except ValueError as exc:
                     raise ValueError(
                         f"sweep failed at beta={bias_weight!r} k={mask_length} document={name}: {exc}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -119,8 +120,8 @@ def utf8_file(path: str | Path) -> Iterator[TextIO]:
 
 def jsonl_records(path: str | Path, *keys: str) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL
-    file.  A line that is not JSON, or not an object with exactly ``keys``,
-    raises ``ValueError`` naming the file and line."""
+    file.  A line that is not JSON, not an object with exactly ``keys``, or
+    holding a lone surrogate raises ``ValueError`` naming the file and line."""
     wanted = set(keys)
     with utf8_file(path) as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -134,6 +135,11 @@ def jsonl_records(path: str | Path, *keys: str) -> Iterator[tuple[int, dict]]:
             if not isinstance(record, dict) or set(record) != wanted:
                 expected = ", ".join(f'"{key}"' for key in keys)
                 raise ValueError(f"{path}: line {lineno}: expected an object with keys {expected}")
+            if "\\" in line:  # JSON spells a surrogate only as an escape
+                for key, value in record.items():
+                    found = re.search("[\ud800-\udfff]", json.dumps(value, ensure_ascii=False))
+                    if found:
+                        raise ValueError(f'{path}: line {lineno}: "{key}" holds the lone surrogate {found.group()!r}')
             yield lineno, record
 
 

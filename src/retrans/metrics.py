@@ -12,18 +12,21 @@ retracted per token of final output.
 All three read the same :class:`~retrans.eventlog.EventLog`; quality and
 latency additionally need a :class:`ReferenceDocument` carrying the timed
 source transcript and the reference translation, segment by segment.
+
+Erasure and finalization come from one pass over the displays
+(:class:`DisplayFold`), each compared only with the one before it, so the
+final display need not be known first.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
 from .eventlog import EventLog, TimedToken, jsonl_records, parse_timed_token, tokenize
@@ -108,22 +111,42 @@ def _shared_cut(a: str, b: str) -> int:
     return max(a.rfind(" ", 0, common), 0)
 
 
+class DisplayFold:
+    """Erasure and finalization folded one display at a time: ``erased``
+    holds the tokens each display retracted from the one before it (or from
+    an empty one), and ``changed``, per token of the latest display, the
+    1-based index of the display at which the prefix through that token
+    last changed.  Only the two tails past :func:`_shared_cut` are tokenized."""
+
+    __slots__ = ("display", "erased", "changed")
+
+    def __init__(self, displays: Iterable[str] = ()) -> None:
+        self.display = ""
+        self.erased: list[int] = []
+        self.changed: list[int] = []
+        for text in displays:
+            self.add(text)
+
+    def add(self, text: str) -> None:
+        cut = _shared_cut(self.display, text)
+        new = tokenize(text[cut:])
+        kept = erased = 0
+        if cut < len(self.display):  # else the previous display ends at the cut and loses nothing
+            old = tokenize(self.display[cut:])
+            kept = lcp_len(new, old)
+            erased = len(old) - kept
+            del self.changed[len(self.changed) - erased:]
+        self.erased.append(erased)
+        self.changed += [len(self.erased)] * (len(new) - kept)
+        self.display = text
+
+
 def erasure(log: EventLog) -> list[int]:
     """Tokens retracted at each event: the length of the previous display
     minus the common prefix kept by the new one.  The first event is
     compared against an empty display, so its erasure is always zero.
     Only the text past the two displays' shared prefix is tokenized."""
-    previous = ""
-    retracted = []
-    for event in log:
-        cut = _shared_cut(previous, event.output_text)
-        if cut == len(previous):
-            retracted.append(0)
-        else:
-            old = tokenize(previous[cut:])
-            retracted.append(len(old) - lcp_len(tokenize(event.output_text[cut:]), old))
-        previous = event.output_text
-    return retracted
+    return DisplayFold(event.output_text for event in log).erased
 
 
 def normalized_erasure(log: EventLog) -> float:
@@ -146,32 +169,13 @@ def finalization(log: EventLog) -> tuple[int, ...]:
     changed again.  Its finalization time is that event's time.
 
     A token counts as changed while it is absent, so a token that flickers
-    out and back in is finalized only by its last reappearance.  Displays
-    are tokenized only past their shared prefix with the final one.
+    out and back in is finalized only by its last reappearance.  Each
+    display is compared only with the one before it (:class:`DisplayFold`),
+    so the final display need not be known first.
     """
     if not log.events:
         raise ValueError("finalization needs at least one event")
-    final = log.events[-1].output_text
-    final_tokens = tokenize(final)
-    starts = [match.start() for match in re.finditer(r"\S+", final)]
-    agree = []
-    for event in log:
-        cut = _shared_cut(event.output_text, final)
-        shared = bisect_left(starts, cut)  # final tokens before the cut, all shared
-        if cut == len(event.output_text):
-            agree.append(shared)
-        else:
-            tail = tokenize(event.output_text[cut:])
-            agree.append(shared + lcp_len(tail, final_tokens[shared:shared + len(tail)]))
-    for i in range(len(agree) - 2, -1, -1):
-        agree[i] = min(agree[i], agree[i + 1])
-    indices = []
-    event = 0
-    for position in range(1, len(final_tokens) + 1):
-        while agree[event] < position:
-            event += 1
-        indices.append(event + 1)
-    return tuple(indices)
+    return tuple(DisplayFold(event.output_text for event in log).changed)
 
 
 def correspondence(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> tuple[float, ...]:
@@ -221,14 +225,16 @@ def source_positions(pieces: Sequence[Sequence[str]], doc: ReferenceDocument) ->
     return tuple(positions)
 
 
-def _time_at(times: Sequence[float], position: float) -> float:
-    # Positions arrive clamped, so any fractional position has a right
-    # neighbour inside the same segment.
-    base = int(math.floor(position))
-    frac = position - base
-    if frac == 0.0:
-        return times[base]
-    return times[base] * (1.0 - frac) + times[base + 1] * frac
+def spoken_times(positions: Sequence[float], times: Sequence[float]) -> list[float]:
+    """The spoken time of each source position: a fractional one (clamped,
+    so it has a right neighbour in its segment) interpolates linearly
+    between its two neighbouring source token ``times``."""
+    spoken = []
+    for position in positions:
+        base = int(math.floor(position))
+        frac = position - base
+        spoken.append(times[base] if frac == 0.0 else times[base] * (1.0 - frac) + times[base + 1] * frac)
+    return spoken
 
 
 def token_lags(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> list[float]:
@@ -239,17 +245,22 @@ def token_lags(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> 
     neighbouring token times.  Lags may be negative when the display
     commits to a token before its source words are fully spoken.
     """
+    return _token_lags(log, DisplayFold(event.output_text for event in log), doc, mode)
+
+
+def _token_lags(log: EventLog, fold: DisplayFold, doc: ReferenceDocument, mode: str) -> list[float]:
     if not log.events:
         raise ValueError("lag needs at least one event")
-    return lags_at(log, correspondence(log, doc, mode=mode), doc.source_times())
+    spoken = spoken_times(correspondence(log, doc, mode=mode), doc.source_times())
+    return lags_at(fold.changed, [event.time for event in log], spoken)
 
 
-def lags_at(log: EventLog, positions: Sequence[float], times: Sequence[float]) -> list[float]:
-    """:func:`token_lags` from the final tokens' source positions and the source times."""
-    indices = finalization(log)
-    if not indices:
+def lags_at(changed: Sequence[int], event_times: Sequence[float], spoken: Sequence[float]) -> list[float]:
+    """:func:`token_lags` from a :class:`DisplayFold`'s ``changed`` indices
+    into ``event_times``, and the final tokens' :func:`spoken_times`."""
+    if not changed:
         raise ValueError("lag is undefined for an empty final translation")
-    return [log.events[i - 1].time - _time_at(times, position) for i, position in zip(indices, positions)]
+    return [event_times[index - 1] - time for index, time in zip(changed, spoken)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +343,15 @@ class MetricsReport:
 
 
 def evaluate_all(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> MetricsReport:
-    """Evaluate one session end to end; errors from the individual metrics
-    propagate unchanged."""
-    lags = token_lags(log, doc, mode=mode)  # one lag per final token, and at least one
-    retracted = erasure(log)
+    """Evaluate one session end to end, folding its displays once for lag and
+    erasure; errors from the individual metrics propagate unchanged."""
+    fold = DisplayFold(event.output_text for event in log)
+    lags = _token_lags(log, fold, doc, mode)  # one lag per final token, and at least one
     return MetricsReport(
         bleu=evaluate_quality(log, doc),
         translation_lag=math.fsum(lags) / len(lags),
-        normalized_erasure=sum(retracted) / len(lags),
-        per_event_erasure=tuple(retracted),
+        normalized_erasure=sum(fold.erased) / len(lags),
+        per_event_erasure=tuple(fold.erased),
         per_token_lag=tuple(lags),
     )
 

@@ -82,11 +82,6 @@ def load_transcript(path: str | Path) -> TimedTranscript:
         if tokens and token.time < tokens[-1].time:
             raise ValueError(f"{path}: line {lineno}: transcript times must be non-decreasing")
         tokens.append(token)
-    try:  # one check per file; only a failure looks for the line
-        "".join([token.token for token in tokens]).encode("utf-8")
-    except UnicodeEncodeError as exc:  # at the first lone surrogate, which no earlier token holds
-        lineno = next(n for n, item in jsonl_records(path, "w", "time") if exc.object[exc.start] in item["w"])
-        raise ValueError(f'{path}: line {lineno}: "w" holds the lone surrogate {exc.object[exc.start]!r}') from None
     return TimedTranscript(tuple(tokens))
 
 
@@ -227,9 +222,14 @@ def display_event(state: SessionState, mask_length: int, delay: float = 0.0) -> 
     tokens held back, stamped at the last fed token's time plus ``delay``,
     rounded to the millisecond as :func:`save_event_log` writes it, so a
     saved and reloaded log equals the one in memory."""
+    return Event(float(format_seconds(state.last_time + delay)), state.source_text, display_text(state, mask_length))
+
+
+def display_text(state: SessionState, mask_length: int) -> str:
+    """The display of :func:`display_event`: the frozen translations, then the
+    live translation without its last ``mask_length`` tokens."""
     live = mask_tail(state.previous_unmasked, mask_length)
-    output_text = state.frozen_text + " ".join(live) if live else state.frozen_text[:-1]
-    return Event(float(format_seconds(state.last_time + delay)), state.source_text, output_text)
+    return state.frozen_text + " ".join(live) if live else state.frozen_text[:-1]
 
 
 def step(

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from retrans.align import lcp_len, mwer_segment, split_by_boundaries
+from erasure_oracle import common_prefix_len
+from retrans.align import mwer_segment, split_by_boundaries
 from retrans.eventlog import EventLog, tokenize
 from retrans.metrics import ReferenceDocument
 
@@ -27,7 +28,7 @@ def finalization(log: EventLog) -> FinalizationMap:
     if not log.events:
         raise ValueError("finalization needs at least one event")
     final_tokens = tokenize(log.events[-1].output_text)
-    agree = [lcp_len(tokenize(event.output_text), final_tokens) for event in log]
+    agree = [common_prefix_len(tokenize(event.output_text), final_tokens) for event in log]
     for i in range(len(agree) - 2, -1, -1):
         agree[i] = min(agree[i], agree[i + 1])
     indices = []

@@ -7,8 +7,9 @@ rebuilding ``run_simulation``, so neither the decode/display split of
 :mod:`retrans.pipeline` nor the mask fan-out is trusted.  Each session is
 segmented on its own and its pieces pooled for :mod:`bleu_oracle`, so
 neither the per-document memo of final translations nor pooled BLEU
-statistics are trusted either.  Slow (|k| times the decoding), but
-obviously right.
+statistics are trusted either.  Lag comes from :mod:`latency_oracle` and
+erasure from :mod:`erasure_oracle`, so the display fold is not trusted.
+Slow (|k| times the decoding), but obviously right.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import latency_oracle
 import replay_oracle
 from bleu_oracle import bleu_corpus
+from erasure_oracle import tokenizing_erasure
 from retrans.align import mwer_segment, split_by_boundaries
 from retrans.cli import SweepRow, _check_source
 from retrans.decoder import DecoderConfig, ScoringModel
 from retrans.eventlog import tokenize
-from retrans.metrics import ReferenceDocument, erasure, token_lags
+from retrans.metrics import ReferenceDocument
 from retrans.pipeline import TimedTranscript
 
 
@@ -58,8 +61,8 @@ def sweep(
                     refs = reference.reference_token_segments()
                     pooled_pieces.extend(split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries))
                     pooled_refs.extend(refs)
-                    pooled_lags.extend(token_lags(log, reference))
-                    erased += sum(erasure(log))
+                    pooled_lags.extend(latency_oracle.token_lags(log, reference))
+                    erased += sum(tokenizing_erasure(log))
                     final_tokens += len(hyp)
                 except ValueError as exc:
                     raise ValueError(

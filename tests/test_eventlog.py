@@ -150,6 +150,26 @@ def test_load_rejects_wrong_keys(tmp_path):
         load_event_log(path)
 
 
+@pytest.mark.parametrize("key", ["src", "out"])
+def test_load_names_the_line_and_key_of_a_lone_surrogate(tmp_path, key):
+    path = tmp_path / "events.jsonl"
+    texts = {"src": '"a"', "out": '"x"', key: '"a\\ud800"'}
+    path.write_text(
+        '{"t": 0.0, "src": "a \\\\", "out": "x"}\n'
+        f'{{"t": 1.0, "src": {texts["src"]}, "out": {texts["out"]}}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as excinfo:
+        load_event_log(path)
+    assert str(excinfo.value) == f"{path}: line 2: \"{key}\" holds the lone surrogate '\\ud800'"
+    # An escaped surrogate pair is one character, and the log saves as it was read.
+    path.write_text('{"t": 0.0, "src": "a", "out": "x \\ud83d\\ude00"}\n', encoding="utf-8")
+    log = load_event_log(path)
+    assert log.events[-1].output_text == "x \U0001f600"
+    save_event_log(log, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_text(encoding="utf-8") == '{"t": 0.0, "src": "a", "out": "x \U0001f600"}\n'
+
+
 def test_load_rejects_negative_and_regressing_times(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_text('{"t": -1.0, "src": "a", "out": "x"}\n', encoding="utf-8")

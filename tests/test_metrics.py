@@ -29,9 +29,10 @@ from retrans import (
     token_lags,
     tokenize,
 )
-from retrans.align import lcp_len
+from retrans.metrics import DisplayFold
 
 from conftest import build_log
+from erasure_oracle import tokenizing_erasure
 
 
 def make_document(*segments: tuple[list[float], str]) -> ReferenceDocument:
@@ -124,18 +125,6 @@ def test_finalization_matches_definition_on_random_sessions():
         assert list(fin) == sorted(fin)
 
 
-def tokenizing_erasure(log: EventLog) -> list[int]:
-    """The reference erasure: tokenize every display in full and compare it
-    with the previous one token by token."""
-    previous: list[str] = []
-    retracted = []
-    for event in log:
-        current = tokenize(event.output_text)
-        retracted.append(len(previous) - lcp_len(current, previous))
-        previous = current
-    return retracted
-
-
 SHARED_PREFIX_TOKENS = ["a", "ab", "a.", "ü", "abü"]
 WHITESPACE = [" ", "  ", "\t", "\n", "\xa0", "\u3000"]
 
@@ -145,7 +134,8 @@ def whitespace_sessions(draw):
     """Displays of multi-character tokens that are prefixes of one another,
     joined by mixed whitespace with optional leading and trailing runs.  A
     display often starts with the previous one cut at any character, so a
-    token can be cut and continued, and whitespace can meet whitespace."""
+    token can be cut and continued, whitespace can meet whitespace, and a
+    display can shrink or flicker; some displays repeat the previous one."""
     log = EventLog()
     previous = ""
     for step in range(draw(st.integers(1, 8))):
@@ -155,7 +145,10 @@ def whitespace_sessions(draw):
             text += token + draw(st.sampled_from(WHITESPACE))
         if not draw(st.booleans()):
             text = text.rstrip(" \t\n\xa0\u3000")
-        if previous and draw(st.integers(0, 3)):
+        move = draw(st.integers(0, 4)) if previous else 0
+        if move == 1:
+            text = previous
+        elif move > 1:
             text = previous[: draw(st.integers(0, len(previous)))] + text
         log = append_event(log, Event(float(step), f"s{step}", text))
         previous = text
@@ -167,7 +160,15 @@ def whitespace_sessions(draw):
 @example(log=build_log((1.0, "a", "x ab"), (2.0, "a b", "x abc")))  # the shared prefix ends inside a token
 @example(log=build_log((1.0, "a", "x\tab"), (2.0, "a b", "x\tab c")))  # no shared space, one shared tab
 @example(log=build_log((1.0, "a", "x ab "), (2.0, "a b", "x ab c"), (3.0, "a b c", " x ab")))
+@example(log=build_log((1.0, "a", "a ab"), (2.0, "a b", "a b"), (3.0, "a b c", "a ab")))  # "ab" flickers
 def test_erasure_and_finalization_match_their_tokenizing_oracles(log):
+    # The fold holds the finalization of every prefix of the log, not just of the whole.
+    fold = DisplayFold()
+    for count, event in enumerate(log, 1):
+        fold.add(event.output_text)
+        prefix = EventLog(log.events[:count])
+        assert fold.erased == tokenizing_erasure(prefix)
+        assert tuple(fold.changed) == latency_oracle.finalization(prefix).event_indices
     assert erasure(log) == tokenizing_erasure(log)
     assert finalization(log) == latency_oracle.finalization(log).event_indices
 
@@ -442,6 +443,23 @@ def test_load_reference_document(tmp_path):
         encoding="utf-8",
     )
     assert load_reference_document(path) == make_document(([0.5, 1.0], "w x"), ([1.5, 2.25], "y z"))
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ('{"src": [{"w": "s1", "time": 1}], "ref": "y\\ud800"}', "ref"),
+        ('{"src": [{"w": "s1", "time": 1}, {"w": "\\udfffs", "time": 2}], "ref": "y"}', "src"),
+    ],
+    ids=["ref", "src"],
+)
+def test_load_reference_document_names_the_line_and_key_of_a_lone_surrogate(tmp_path, line, key):
+    path = tmp_path / "doc.jsonl"
+    path.write_text('{"src": [{"w": "s0", "time": 0.5}], "ref": "\\\\x"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_reference_document(path)
+    surrogate = "\\ud800" if key == "ref" else "\\udfff"
+    assert str(excinfo.value) == f"{path}: line 2: \"{key}\" holds the lone surrogate '{surrogate}'"
 
 
 def test_reference_document_validation():
