@@ -21,14 +21,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .align import lcp_len, mwer_segment, split_by_boundaries
+from .align import lcp_len
 from .decoder import DecoderConfig, ScoringModel, load_table_model
 from .eventlog import format_seconds, load_event_log, save_event_log, tokenize
-# bleu_corpus, erasure and token_lags go unused here: perfbench/tracing.py wraps them on this module.
 from .metrics import (
-    DisplayFold, ReferenceDocument, bleu_corpus, bleu_score, bleu_statistics, erasure, evaluate_all, lags_at,
-    load_reference_document, ngram_counts, save_report, source_positions, spoken_times, token_lags,
+    DisplayFold, ReferenceDocument, Scorer, bleu_score, evaluate_all, lags_at, load_reference_document, save_report,
 )
+# These go unused here: perfbench/tracing.py wraps them on this module.
+from .align import mwer_segment, split_by_boundaries
+from .metrics import bleu_corpus, erasure, token_lags
 from .pipeline import (
     SessionState,
     TimedTranscript,
@@ -56,27 +57,6 @@ class SweepRow:
     normalized_erasure: float
 
 
-class _Scorer:
-    """Scores the sessions of one document: its reference is prepared once,
-    and each distinct final translation is segmented and scored once."""
-
-    def __init__(self, reference: ReferenceDocument) -> None:
-        self.reference = reference
-        self.refs = reference.reference_token_segments()
-        self.ref_counts = [ngram_counts(ref) for ref in self.refs]
-        self.times = reference.source_times()
-        self.finals: dict[str, tuple[list[int], list[float]]] = {}  # BLEU statistics, spoken times
-
-    def final(self, text: str) -> tuple[list[int], list[float]]:
-        """The BLEU statistics of a final translation, and its tokens' spoken times."""
-        if text not in self.finals:
-            hyp = tokenize(text)
-            pieces = split_by_boundaries(hyp, mwer_segment(hyp, self.refs).boundaries)
-            positions = source_positions(pieces, self.reference)
-            self.finals[text] = (bleu_statistics(pieces, self.ref_counts), spoken_times(positions, self.times))
-        return self.finals[text]
-
-
 @dataclass(slots=True)
 class _Pool:
     """One grid point's scores pooled over the documents scored so far, with
@@ -87,8 +67,8 @@ class _Pool:
     lags: list[float] = field(default_factory=list)
     erased: int = 0
 
-    def add(self, fold: DisplayFold, event_times: list[float], scorer: _Scorer) -> None:
-        statistics, spoken = scorer.final(fold.display)
+    def add(self, fold: DisplayFold, event_times: list[float], scorer: Scorer) -> None:
+        statistics, _, spoken = scorer.final(fold.display)
         self.lags.extend(lags_at(fold.changed, event_times, spoken))
         self.statistics = [pooled + more for pooled, more in zip(self.statistics, statistics)]
         self.erased += sum(fold.erased)
@@ -121,9 +101,10 @@ def sweep(
     previous *unmasked* translation.  So each (bias weight, document) pair
     is decoded once, and each decoded state is shown under every mask
     length into that length's :class:`~retrans.metrics.DisplayFold`, scored
-    with the events' times as soon as the document ends.  The references
-    are counted once per sweep, and each distinct final translation of a
-    document is segmented and scored once.
+    with the events' times as soon as the document ends.  It is scored
+    through :class:`~retrans.metrics.Scorer`, as ``evaluate_all`` scores a
+    session: each reference is prepared once per sweep, and each distinct
+    final translation of a document is segmented once for both BLEU and lag.
 
     Every setting and every transcript is checked before anything is
     decoded: an out-of-range setting fails naming it, and a transcript that
@@ -147,8 +128,8 @@ def sweep(
     for name, transcript, reference in documents:
         words = [tok.token for tok in transcript.tokens]
         _check_source(words, f"document {name}: the transcript", reference, "its reference's source")
-        scorers.append(_Scorer(reference))
-    ref_len = sum(len(ref) for scorer in scorers for ref in scorer.refs)
+        scorers.append(Scorer(reference))
+    ref_len = sum(scorer.ref_len for scorer in scorers)
     rows = []
     for bias_weight in bias_weights:
         config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight)

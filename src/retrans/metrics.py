@@ -15,7 +15,9 @@ source transcript and the reference translation, segment by segment.
 
 Erasure and finalization come from one pass over the displays
 (:class:`DisplayFold`), each compared only with the one before it, so the
-final display need not be known first.
+final display need not be known first.  The final translation is segmented
+once (:class:`Scorer`), and that one segmentation serves both BLEU and the
+source positions that lag reads.
 """
 
 from __future__ import annotations
@@ -197,32 +199,16 @@ def correspondence(log: EventLog, doc: ReferenceDocument, mode: str = "segment")
     if not log.events:
         raise ValueError("correspondence needs at least one event")
     final = log.events[-1]
-    hyp = tokenize(final.output_text)
-
-    if mode == "document":
-        source_len = len(tokenize(final.source_text))
-        if hyp and source_len == 0:
-            raise ValueError("document mode needs a non-empty final source")
-        last = float(min(source_len, len(doc.source_times())) - 1)
-        return tuple(min(max(j * source_len / len(hyp), 0.0), last) for j in range(len(hyp)))
-    if mode != "segment":
+    if mode == "segment":
+        return Scorer(doc).final(final.output_text)[1]
+    if mode != "document":
         raise ValueError(f'correspondence mode must be "segment" or "document", got {mode!r}')
-
-    pieces = split_by_boundaries(hyp, mwer_segment(hyp, doc.reference_token_segments()).boundaries)
-    return source_positions(pieces, doc)
-
-
-def source_positions(pieces: Sequence[Sequence[str]], doc: ReferenceDocument) -> tuple[float, ...]:
-    """Segment-mode :func:`correspondence` of a final translation cut into reference pieces."""
-    positions = []
-    source_start = 0
-    for piece, segment in zip(pieces, doc.segments):
-        src_len = len(segment.source_tokens)
-        for offset in range(len(piece)):
-            position = offset * src_len / len(piece) + source_start
-            positions.append(min(max(position, float(source_start)), float(source_start + src_len - 1)))
-        source_start += src_len
-    return tuple(positions)
+    hyp = tokenize(final.output_text)
+    source_len = len(tokenize(final.source_text))
+    if hyp and source_len == 0:
+        raise ValueError("document mode needs a non-empty final source")
+    last = float(min(source_len, len(doc.source_times())) - 1)
+    return tuple(min(max(j * source_len / len(hyp), 0.0), last) for j in range(len(hyp)))
 
 
 def spoken_times(positions: Sequence[float], times: Sequence[float]) -> list[float]:
@@ -245,14 +231,7 @@ def token_lags(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> 
     neighbouring token times.  Lags may be negative when the display
     commits to a token before its source words are fully spoken.
     """
-    return _token_lags(log, DisplayFold(event.output_text for event in log), doc, mode)
-
-
-def _token_lags(log: EventLog, fold: DisplayFold, doc: ReferenceDocument, mode: str) -> list[float]:
-    if not log.events:
-        raise ValueError("lag needs at least one event")
-    spoken = spoken_times(correspondence(log, doc, mode=mode), doc.source_times())
-    return lags_at(fold.changed, [event.time for event in log], spoken)
+    return list(evaluate_all(log, doc, mode).per_token_lag)
 
 
 def lags_at(changed: Sequence[int], event_times: Sequence[float], spoken: Sequence[float]) -> list[float]:
@@ -321,14 +300,44 @@ def evaluate_quality(log: EventLog, doc: ReferenceDocument) -> float:
     segments."""
     if not log.events:
         raise ValueError("quality needs at least one event")
-    hyp = tokenize(log.events[-1].output_text)
-    refs = doc.reference_token_segments()
-    pieces = split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries)
-    return bleu_corpus(pieces, refs)
+    scorer = Scorer(doc)
+    return bleu_score(scorer.final(log.events[-1].output_text)[0], scorer.ref_len)
 
 
 # ---------------------------------------------------------------------------
 # Combined report
+
+
+class Scorer:
+    """Scores final translations against one reference document.  The
+    reference is prepared once; each distinct final text is segmented
+    against its segments once, and that one segmentation gives both the
+    text's BLEU statistics and its tokens' source positions for lag."""
+
+    def __init__(self, reference: ReferenceDocument) -> None:
+        self.refs = reference.reference_token_segments()
+        self.ref_counts = [ngram_counts(ref) for ref in self.refs]
+        self.ref_len = sum(len(ref) for ref in self.refs)
+        self.source_lens = [len(segment.source_tokens) for segment in reference.segments]
+        self.times = reference.source_times()
+        self.finals: dict[str, tuple[list[int], tuple[float, ...], list[float]]] = {}
+
+    def final(self, text: str) -> tuple[list[int], tuple[float, ...], list[float]]:
+        """The :func:`bleu_statistics` of a final translation, and per token
+        its segment-mode :func:`correspondence` and its :func:`spoken_times`."""
+        if text not in self.finals:
+            hyp = tokenize(text)
+            pieces = split_by_boundaries(hyp, mwer_segment(hyp, self.refs).boundaries)
+            positions = []
+            source_start = 0
+            for piece, src_len in zip(pieces, self.source_lens):
+                for offset in range(len(piece)):
+                    position = offset * src_len / len(piece) + source_start
+                    positions.append(min(max(position, float(source_start)), float(source_start + src_len - 1)))
+                source_start += src_len
+            statistics = bleu_statistics(pieces, self.ref_counts)
+            self.finals[text] = (statistics, tuple(positions), spoken_times(positions, self.times))
+        return self.finals[text]
 
 
 @dataclass(frozen=True, slots=True)
@@ -343,12 +352,20 @@ class MetricsReport:
 
 
 def evaluate_all(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> MetricsReport:
-    """Evaluate one session end to end, folding its displays once for lag and
-    erasure; errors from the individual metrics propagate unchanged."""
+    """Evaluate one session end to end: its displays are folded once for
+    lag and erasure, and its final translation is segmented once for BLEU
+    and for the lag's source positions (:class:`Scorer`); "document" mode
+    takes those positions from :func:`correspondence` instead."""
+    if not log.events:
+        raise ValueError("lag needs at least one event")
     fold = DisplayFold(event.output_text for event in log)
-    lags = _token_lags(log, fold, doc, mode)  # one lag per final token, and at least one
+    scorer = Scorer(doc)
+    statistics, _, spoken = scorer.final(fold.display)
+    if mode != "segment":
+        spoken = spoken_times(correspondence(log, doc, mode=mode), scorer.times)
+    lags = lags_at(fold.changed, [event.time for event in log], spoken)  # one lag per final token, at least one
     return MetricsReport(
-        bleu=evaluate_quality(log, doc),
+        bleu=bleu_score(statistics, scorer.ref_len),
         translation_lag=math.fsum(lags) / len(lags),
         normalized_erasure=sum(fold.erased) / len(lags),
         per_event_erasure=tuple(fold.erased),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eventlog_oracle
-import retrans.cli
+import retrans.metrics
 import sweep_oracle
 from retrans import (
     DecoderConfig,
@@ -363,7 +363,7 @@ def _counting_segmentations(monkeypatch) -> list[tuple[tuple[str, ...], tuple[tu
         calls.append((tuple(hyp), tuple(map(tuple, refs))))
         return mwer_segment(hyp, refs)
 
-    monkeypatch.setattr(retrans.cli, "mwer_segment", counting)
+    monkeypatch.setattr(retrans.metrics, "mwer_segment", counting)
     return calls
 
 

@@ -4,15 +4,19 @@ import json
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bleu_oracle
 import latency_oracle
 import retrans.metrics
 from retrans import (
+    DecoderConfig,
     Event,
     EventLog,
+    MetricsReport,
     ReferenceDocument,
     ReferenceSegment,
     TimedToken,
@@ -24,7 +28,9 @@ from retrans import (
     evaluate_quality,
     finalization,
     load_reference_document,
+    mwer_segment,
     normalized_erasure,
+    run_simulation,
     save_report,
     token_lags,
     tokenize,
@@ -33,6 +39,7 @@ from retrans.metrics import DisplayFold
 
 from conftest import build_log
 from erasure_oracle import tokenizing_erasure
+from test_align import full_table_segment
 
 
 def make_document(*segments: tuple[list[float], str]) -> ReferenceDocument:
@@ -301,6 +308,25 @@ def scored_sessions(draw):
     return log, doc
 
 
+def _oracle_report(log: EventLog, doc: ReferenceDocument, mode: str) -> MetricsReport:
+    """The report of a session from the oracles alone: record-based lag,
+    tokenizing erasure, and recounting BLEU over the pieces the full-table
+    segmenter cuts."""
+    lags = latency_oracle.token_lags(log, doc, mode=mode)
+    erased = tokenizing_erasure(log)
+    hyp = tokenize(log.events[-1].output_text)
+    refs = [tokenize(segment.reference_text) for segment in doc.segments]
+    cuts = [0, *full_table_segment(hyp, refs).boundaries, len(hyp)]
+    pieces = [hyp[start:end] for start, end in zip(cuts, cuts[1:])]
+    return MetricsReport(
+        bleu=bleu_oracle.bleu_corpus(pieces, refs),
+        translation_lag=math.fsum(lags) / len(lags),
+        normalized_erasure=sum(erased) / len(hyp),
+        per_event_erasure=tuple(erased),
+        per_token_lag=tuple(lags),
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(session=scored_sessions(), mode=st.sampled_from(["segment", "document"]))
 # two output tokens over three segments: an empty piece
@@ -316,6 +342,13 @@ def test_lag_matches_the_record_oracle(session, mode):
     log, doc = session
     oracle_fin = latency_oracle.finalization(log)
     assert finalization(log) == oracle_fin.event_indices
+    try:
+        expected_report = _oracle_report(log, doc, mode)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            evaluate_all(log, doc, mode)
+    else:
+        assert evaluate_all(log, doc, mode) == expected_report
     try:
         expected = latency_oracle.correspondence(log, doc, mode=mode)
     except ValueError as exc:
@@ -413,6 +446,29 @@ def test_evaluate_all_is_consistent_with_parts(session_log):
     final_len = len(tokenize(session_log.events[-1].output_text))
     assert sum(report.per_event_erasure) == pytest.approx(report.normalized_erasure * final_len)
     assert report.translation_lag == math.fsum(report.per_token_lag) / len(report.per_token_lag)
+
+
+def test_evaluate_all_segments_and_tokenizes_the_final_translation_once(monkeypatch, toy_model, toy_documents):
+    _, transcript, doc = next(document for document in toy_documents if document[0] == "news.jsonl")
+    log = run_simulation(transcript, toy_model, DecoderConfig(beam_size=4, bias_weight=0.5, mask_length=2))
+    segmented = []
+    tokenized = Counter()
+
+    def counting_segment(hyp, refs):
+        segmented.append(tuple(hyp))
+        return mwer_segment(hyp, refs)
+
+    def counting_tokenize(text):
+        tokenized[text] += 1
+        return tokenize(text)
+
+    monkeypatch.setattr(retrans.metrics, "mwer_segment", counting_segment)
+    monkeypatch.setattr(retrans.metrics, "tokenize", counting_tokenize)
+    evaluate_all(log, doc)
+    final = log.events[-1].output_text
+    assert segmented == [tuple(tokenize(final))]
+    assert tokenized[final] == 1
+    assert [tokenized[segment.reference_text] for segment in doc.segments] == [1] * len(doc.segments)
 
 
 def test_report_round_trips_through_json(tmp_path, session_log):
