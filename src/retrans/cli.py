@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .align import lcp_len
 from .decoder import DecoderConfig, ScoringModel, load_table_model
-from .eventlog import format_seconds, load_event_log, save_event_log, tokenize
+from .eventlog import format_seconds, load_event_log, replacing_file, save_event_log, tokenize
 from .metrics import (
     DisplayFold, ReferenceDocument, Scorer, bleu_score, evaluate_all, lags_at, load_reference_document, save_report,
 )
@@ -186,8 +186,8 @@ def pareto_subset(rows: Sequence[SweepRow], erasure_ceiling: float | None = None
 def save_sweep_rows(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Write rows as CSV with the header ``beta,k,bleu,tl,ne``.  Floats are
     written in shortest round-trip form, so reading the file back yields
-    the exact same values."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    the exact same values.  A failed save leaves ``path`` as it was."""
+    with replacing_file(path) as handle:
         handle.write("beta,k,bleu,tl,ne\n")
         for row in rows:
             handle.write(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import ClassVar, Mapping, Protocol, Sequence
 
 from .eventlog import tokenize, utf8_file
 
@@ -31,7 +31,18 @@ class ScoringModel(Protocol):
     """What the search needs from a model: a next-token distribution,
     possibly including :data:`EOS_TOKEN`, that depends only on the source,
     its completeness, and the target prefix.  The search only reads the
-    mapping, so a model may return the same one on every call."""
+    mapping, so a model may return the same one on every call.
+
+    A model may also declare an int class attribute ``source_lookahead``
+    = L >= 0.  It promises that a distribution reads of the prefix only its
+    length ``n``, and of the source only the words before position
+    ``n + L + 1`` while that position is inside the source; once it is not,
+    the distribution may read the whole source and its completeness.  For
+    such a model :func:`biased_beam_search` asks for one distribution per
+    target position and can resume from a :class:`BeamMemo`.  A model that
+    does not declare it always gets the full search, one distribution per
+    hypothesis.
+    """
 
     def next_distribution(
         self, source: Sequence[str], source_complete: bool, prefix: Sequence[str]
@@ -51,9 +62,16 @@ class TableModel:
     translates to itself.  Tokens and probabilities follow the rules of
     :func:`load_table_model`.  The model keeps the
     mappings it is given and serves them as they are: do not change them.
+
+    The distribution at target position ``n`` reads source words ``n`` and
+    ``n + 1`` and, when word ``n`` is the last, whether the source is
+    complete, so the model declares a ``source_lookahead`` of 1 (see
+    :class:`ScoringModel`).  A subclass that reads more must set it to
+    ``None`` or to its own look-ahead.
     """
 
     entries: Mapping[tuple[str, str], Mapping[str, float]]
+    source_lookahead: ClassVar[int | None] = 1
 
     def __post_init__(self) -> None:
         words_with_exact = {word for word, ctx in self.entries if ctx != ANY_CONTEXT}
@@ -190,11 +208,82 @@ def _biased_step(
     return step
 
 
+def _shared_length(a: tuple, b: tuple) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``."""
+    n = len(a) if len(a) < len(b) else len(b)
+    if a[:n] == b[:n]:
+        return n
+    return next(i for i in range(n) if a[i] != b[i])
+
+
+class BeamMemo:
+    """The beam after each round of the last search over one sentence, and
+    the inputs that search read, so that the next search can resume.
+
+    Round ``n`` of a search expands the hypotheses of ``n`` tokens.  For a
+    model that declares a ``source_lookahead`` L (see :class:`ScoringModel`)
+    it reads the model at prefix length ``n``, the bias target
+    ``previous[n]`` (none past the end of ``previous``), the bias weight and
+    the beam size.  So while the model, the weight, the beam size, the
+    source words before ``n + L + 1`` and ``previous[:n + 1]`` are those of
+    the last search, the beam after round ``n`` is the one recorded here.
+    :meth:`rebase` keeps exactly those rounds.  One memo serves one search
+    at a time; pass it to each search over the growing sentence.
+    """
+
+    __slots__ = ("model", "source", "source_complete", "previous", "bias_weight", "beam_size", "beams")
+
+    def __init__(self) -> None:
+        self.model: ScoringModel | None = None
+        self.source: tuple[str, ...] = ()
+        self.source_complete = False
+        self.previous: tuple[str, ...] = ()
+        self.bias_weight = -1.0
+        self.beam_size = 0
+        self.beams: list[list[tuple]] = []  # the beam after each expanded round
+
+    def rebase(
+        self,
+        model: ScoringModel,
+        lookahead: int | None,
+        source: tuple[str, ...],
+        source_complete: bool,
+        previous: tuple[str, ...],
+        config: DecoderConfig,
+    ) -> list[list[tuple]]:
+        """Record the inputs of a new search by ``model``, whose declared
+        look-ahead is ``lookahead``, and keep the beams of the rounds it
+        shares with the last one; the search appends the rest."""
+        beams = self.beams
+        if (
+            lookahead is None
+            or model is not self.model
+            or config.bias_weight != self.bias_weight
+            or config.beam_size != self.beam_size
+        ):
+            beams.clear()
+        else:
+            kept = len(beams)
+            if source != self.source or source_complete != self.source_complete:
+                # Round n read the source words before n + lookahead + 1.
+                shared = _shared_length(source, self.source) - lookahead
+                kept = shared if shared < kept else kept
+            if previous != self.previous:
+                shared = _shared_length(previous, self.previous)  # round n read previous[n]
+                kept = shared if shared < kept else kept
+            del beams[kept if kept > 0 else 0:]
+        self.model, self.source, self.source_complete = model, source, source_complete
+        self.previous, self.bias_weight, self.beam_size = previous, config.bias_weight, config.beam_size
+        return beams
+
+
 def biased_beam_search(
     model: ScoringModel,
     source: Sequence[str],
     source_complete: bool,
     config: DecoderConfig,
+    *,
+    memo: BeamMemo | None = None,
 ) -> tuple[str, ...]:
     """Beam search over ``model``'s distributions, optionally biased toward
     ``config.previous_translation``.
@@ -218,6 +307,14 @@ def biased_beam_search(
     it stops a model that never emits EOS), and returns the best finished
     one, or the best partial if nothing finished in time.  An empty source
     translates to an empty output without consulting the model.
+
+    Round ``n`` expands every unfinished hypothesis, and each has ``n``
+    tokens.  For a model that declares a ``source_lookahead`` (see
+    :class:`ScoringModel`), one distribution serves the whole round, and
+    the search starts from the last round ``memo`` can vouch for (see
+    :class:`BeamMemo`) instead of round 0, then records its own rounds
+    there.  The result is the full search's, bit for bit.  Without a memo
+    or without the declaration the search starts at round 0.
     """
     source = tuple(source)
     if not source:
@@ -230,11 +327,15 @@ def biased_beam_search(
     max_len = 2 * len(source) + 5
     next_distribution = model.next_distribution
     log = math.log
+    lookahead = getattr(model, "source_lookahead", None)
+    per_hypothesis = lookahead is None
 
-    beam = [(0.0, False, (), True)]
+    beams = [] if memo is None else memo.rebase(model, lookahead, source, source_complete, previous, config)
+    beam = beams[-1] if beams else [(0.0, False, (), True)]
     while True:
         candidates = []
         expanded = False
+        dist = None
         for hyp in beam:
             cost, diverged, tokens, unfinished = hyp
             position = len(tokens)
@@ -242,12 +343,17 @@ def biased_beam_search(
                 candidates.append(hyp)
                 continue
             expanded = True
-            step = next_distribution(source, source_complete, tokens)
+            if per_hypothesis or dist is None:
+                dist = next_distribution(source, source_complete, tokens)
+                biased_dist = None
             # The token that keeps this hypothesis following the previous
             # translation, if it still does.
             target = None if diverged or position >= previous_len else previous[position]
+            step = dist
             if biased and target is not None:
-                step = _biased_step(step, target, weight)
+                if biased_dist is None:  # every following hypothesis of a round has the same target
+                    biased_dist = _biased_step(dist, target, weight)
+                step = biased_dist
             for token, prob in step.items():
                 if prob <= 0.0:
                     continue
@@ -259,6 +365,7 @@ def biased_beam_search(
             break
         candidates.sort()
         beam = candidates[:beam_size]
+        beams.append(beam)
 
     finished = [hyp for hyp in beam if not hyp[3]]
     return min(finished or beam)[2]

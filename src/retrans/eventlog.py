@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import IO, Iterator, TextIO
 
 
 def tokenize(text: str) -> list[str]:
@@ -118,6 +120,23 @@ def utf8_file(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+@contextmanager
+def replacing_file(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open a new file beside ``path`` to write, as bytes or as UTF-8 text
+    with ``\\n`` line ends.  When the block ends, the new file replaces
+    ``path`` in one step; if the block raises, the new file is removed.  So
+    ``path`` holds either its old content or all of the new one."""
+    temp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    handle = open(temp, "xb") if binary else open(temp, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def jsonl_records(path: str | Path, *keys: str) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL
     file.  A line that is not JSON, not an object with exactly ``keys``, or
@@ -201,9 +220,10 @@ def _escaped_body(text: str, last: str, last_body: bytes) -> bytes:
 def save_event_log(log: EventLog, path: str | Path) -> None:
     """Write ``log`` as JSONL, one event per line, ordered by time: UTF-8 lines
     ``{"t": T, "src": S, "out": O}`` with ``T`` by :func:`format_seconds` and texts as
-    ``json.dumps(..., ensure_ascii=False)`` escapes them: only ``"``, ``\\``, U+0000-U+001F."""
+    ``json.dumps(..., ensure_ascii=False)`` escapes them: only ``"``, ``\\``, U+0000-U+001F.
+    A failed save leaves ``path`` as it was (see :func:`replacing_file`)."""
     src_body = out_body = b""
-    with open(path, "wb") as handle:  # five writes a line: joining copies each snapshot again
+    with replacing_file(path, binary=True) as handle:  # five writes a line: joining copies each snapshot again
         for last, event in zip((Event(0.0, "", ""),) + log.events, log.events):
             src_body = _escaped_body(event.source_text, last.source_text, src_body)
             out_body = _escaped_body(event.output_text, last.output_text, out_body)

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
-from .eventlog import EventLog, TimedToken, jsonl_records, parse_timed_token, tokenize
+from .eventlog import EventLog, TimedToken, jsonl_records, parse_timed_token, replacing_file, tokenize
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,7 +375,7 @@ def evaluate_all(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -
 
 def save_report(report: MetricsReport, path: str | Path) -> None:
     """Write a report as a single JSON object with keys "bleu", "tl", "ne",
-    "erasure" and "lags"."""
+    "erasure" and "lags".  A failed save leaves ``path`` as it was."""
     payload = {
         "bleu": report.bleu,
         "tl": report.translation_lag,
@@ -383,5 +383,5 @@ def save_report(report: MetricsReport, path: str | Path) -> None:
         "erasure": list(report.per_event_erasure),
         "lags": list(report.per_token_lag),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with replacing_file(path) as handle:
         handle.write(json.dumps(payload, ensure_ascii=False) + "\n")

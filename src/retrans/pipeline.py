@@ -16,11 +16,15 @@ sentence cost, not what the whole session so far costs.
 
 A step has two parts.  :func:`advance` decodes: it feeds the tokens and
 retranslates, biased toward the live sentence's previous *unmasked*
-translation.  :func:`display_event` masks the live tail and stamps the
-event.  The mask only changes what is shown, never what is decoded, so one
-decoded session serves every mask length: ``sweep`` decodes each (bias
-weight, document) pair once and displays it under each of its mask
-lengths.
+translation.  The state carries the live sentence's search rounds (a
+:class:`~retrans.decoder.BeamMemo`), so under a model that declares its
+look-ahead a retranslation redoes only the rounds whose source context or
+bias target changed since the last one: with one-word feeds, three rounds
+a word while the translation only grows.  :func:`display_event` masks the
+live tail and stamps the event.  The mask only changes what is shown,
+never what is decoded, so one decoded session serves every mask length:
+``sweep`` decodes each (bias weight, document) pair once and displays it
+under each of its mask lengths.
 
 The timed transcript is read from JSONL (:func:`load_transcript`) or from
 caption cues (:func:`load_captions`).
@@ -30,11 +34,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .decoder import DecoderConfig, ScoringModel, biased_beam_search, mask_tail
+from .decoder import BeamMemo, DecoderConfig, ScoringModel, biased_beam_search, mask_tail
 from .eventlog import (
     Event,
     EventLog,
@@ -43,6 +47,7 @@ from .eventlog import (
     format_seconds,
     jsonl_records,
     parse_timed_token,
+    replacing_file,
     tokenize,
     utf8_file,
 )
@@ -66,8 +71,9 @@ class TimedTranscript:
 
 
 def save_transcript(transcript: TimedTranscript, path: str | Path) -> None:
-    """Write one JSON line per token: {"w": word, "time": seconds}."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    """Write one JSON line per token: {"w": word, "time": seconds}.  A failed
+    save leaves ``path`` as it was."""
+    with replacing_file(path) as handle:
         for tok in transcript.tokens:
             handle.write(
                 '{"w": %s, "time": %s}\n'
@@ -157,7 +163,11 @@ class SessionState:
     finished translation per completed sentence, in order.
     ``previous_unmasked`` is the live sentence's latest unmasked
     translation: the bias target of its next retranslation and the tail the
-    display masks.
+    display masks.  ``memo`` holds the live sentence's search rounds, from
+    which its next retranslation resumes (see
+    :class:`~retrans.decoder.BeamMemo`).  It checks its own inputs, so
+    advancing one state twice, or under another config or model, stays
+    exact; it takes no part in comparing or printing states.
     """
 
     live: tuple[str, ...] = ()
@@ -166,6 +176,7 @@ class SessionState:
     frozen_text: str = ""
     frozen_translations: tuple[tuple[str, ...], ...] = ()
     previous_unmasked: tuple[str, ...] = ()
+    memo: BeamMemo = field(default_factory=BeamMemo, compare=False, repr=False)
 
 
 def advance(
@@ -180,7 +191,10 @@ def advance(
     Sentences completed by this feed are translated one last time with the
     sentence end in view (still biased toward their previous translation)
     and frozen.  The last sentence, if incomplete, is retranslated biased
-    toward its own previous unmasked translation.
+    toward its own previous unmasked translation.  Sentence 0, the live
+    sentence plus the fed tokens, resumes its search from ``state.memo``;
+    a sentence that starts in this feed searches from round 0, into a
+    fresh memo that the new state keeps if it is the live one.
     """
     # Only the fed tokens need checking: earlier feeds were checked when fed.
     new_tokens = TimedTranscript(tuple(new_tokens)).tokens
@@ -195,14 +209,19 @@ def advance(
     frozen = state.frozen_translations
     frozen_text = state.frozen_text
     previous_unmasked: tuple[str, ...] = ()
+    memo = state.memo
     for index, sentence in enumerate(sentences):
         complete = last_complete or index < len(sentences) - 1
         bias_target = state.previous_unmasked if index == 0 else ()  # sentence 0 is state.live's
+        if index:
+            memo = BeamMemo()
         translated = biased_beam_search(
             model,
             sentence,
             complete,
-            replace(config, previous_translation=bias_target),
+            # Field by field: dataclasses.replace would cost three times as much, every step.
+            DecoderConfig(config.beam_size, config.bias_weight, config.mask_length, bias_target),
+            memo=memo,
         )
         if complete:
             frozen += (translated,)
@@ -212,8 +231,11 @@ def advance(
 
     joined = " ".join(fed)
     source_text = f"{state.source_text} {joined}" if state.source_text else joined
-    live = () if last_complete else tuple(sentences[-1])
-    return SessionState(live, new_tokens[-1].time, source_text, frozen_text, frozen, previous_unmasked)
+    if last_complete:
+        live, memo = (), BeamMemo()
+    else:
+        live = tuple(sentences[-1])
+    return SessionState(live, new_tokens[-1].time, source_text, frozen_text, frozen, previous_unmasked, memo)
 
 
 def display_event(state: SessionState, mask_length: int, delay: float = 0.0) -> Event:

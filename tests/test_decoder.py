@@ -23,7 +23,8 @@ from retrans import (
     save_event_log,
     step,
 )
-from retrans.decoder import ANY_CONTEXT, END_OF_SOURCE, _biased_step
+from retrans.decoder import ANY_CONTEXT, END_OF_SOURCE, BeamMemo, _biased_step
+from retrans.pipeline import TimedTranscript
 
 from conftest import DATA_DIR
 
@@ -455,9 +456,158 @@ def test_search_matches_the_replaced_search(
 def test_simulation_log_matches_the_replaced_search(tmp_path, monkeypatch, toy_model, toy_talk):
     config = DecoderConfig(beam_size=4, bias_weight=0.5, mask_length=2)
     save_event_log(run_simulation(toy_talk, toy_model, config), tmp_path / "new.jsonl")
-    monkeypatch.setattr(pipeline, "biased_beam_search", decoder_oracle.biased_beam_search)
+    oracle_calls = []
+
+    def oracle(model, source, source_complete, config, *, memo):
+        # The oracle searches from scratch: the memo is the resumed path's.
+        oracle_calls.append(source)
+        return decoder_oracle.biased_beam_search(model, source, source_complete, config)
+
+    monkeypatch.setattr(pipeline, "biased_beam_search", oracle)
     save_event_log(run_simulation(toy_talk, toy_model, config), tmp_path / "old.jsonl")
+    assert len(oracle_calls) >= len(toy_talk)  # every step decoded through the oracle
     assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The resumed search: every search of a session, resumed from the live
+# sentence's memo, against the from-scratch search it replaced.
+
+_SESSION_WORDS = ("a", "b", "c", "u", "a.", "b?")  # u is never in a table
+_SESSION_CONTEXTS = (END_OF_SOURCE, "a", "b", "c", "a.")
+# Uniform pairs tie exactly; EOS_TOKEN ends a translation early.
+_SESSION_TARGETS = ("X", "Y", "Z", "W.", EOS_TOKEN)
+_SESSION_DISTRIBUTIONS = ((1.0,), (0.5, 0.5), (0.75, 0.25), (0.25, 0.25, 0.5))
+
+
+@st.composite
+def session_table_models(draw):
+    entries = {}
+    for word in draw(st.lists(st.sampled_from([word for word in _SESSION_WORDS if word != "u"]), unique=True)):
+        extra = draw(st.lists(st.sampled_from(_SESSION_CONTEXTS), max_size=3, unique=True))
+        for context in [ANY_CONTEXT, *extra]:
+            probs = draw(st.sampled_from(_SESSION_DISTRIBUTIONS))
+            targets = draw(
+                st.lists(st.sampled_from(_SESSION_TARGETS), min_size=len(probs), max_size=len(probs), unique=True)
+            )
+            entries[(word, context)] = dict(zip(targets, probs))
+    return TableModel(entries)
+
+
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=session_table_models(),
+    words=st.lists(st.sampled_from(_SESSION_WORDS), min_size=1, max_size=16),
+    chunk_size=st.integers(min_value=1, max_value=3),
+    beam_size=st.integers(min_value=1, max_value=4),
+    bias_weight=_WEIGHTS,
+    detours=st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.tuples(st.integers(min_value=1, max_value=4), _WEIGHTS)),
+            st.lists(st.sampled_from(_SESSION_WORDS), max_size=3),
+            st.booleans(),
+        ),
+        max_size=16,
+    ),
+)
+def test_every_resumed_search_of_a_session_matches_the_replaced_search(
+    model, words, chunk_size, beam_size, bias_weight, detours
+):
+    """At every step of a session, each search that ``advance`` resumes from
+    the live sentence's memo returns what the from-scratch oracle returns
+    for the same inputs.  A detour first advances the same state, under the
+    current or another beam size and weight, by the step's feed or by other
+    words, and discards the result (so the memo holds another search's
+    rounds); with its flag set, the detour's config is used from then on."""
+    config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight)
+    searches = []
+
+    def checked_search(model, source, source_complete, config, *, memo):
+        result = biased_beam_search(model, source, source_complete, config, memo=memo)
+        assert result == decoder_oracle.biased_beam_search(model, source, source_complete, config)
+        searches.append(source)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "biased_beam_search", checked_search)
+        state = SessionState()
+        for index, start in enumerate(range(0, len(words), chunk_size)):
+            feed = [TimedToken(word, float(start)) for word in words[start:start + chunk_size]]
+            if index < len(detours):
+                settings_, other_words, switch = detours[index]
+                detour = config if settings_ is None else DecoderConfig(*settings_)
+                other_feed = [TimedToken(word, float(start)) for word in other_words] or feed
+                pipeline.advance(state, other_feed, model, detour)
+                config = detour if switch else config
+            state = pipeline.advance(state, feed, model, config)
+    assert searches
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=session_table_models(),
+    source_stem=st.lists(st.sampled_from(_SESSION_WORDS[:4]), max_size=6),
+    previous_stem=st.lists(st.sampled_from(_SESSION_TARGETS), max_size=6),
+    searches=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6),
+            st.lists(st.sampled_from(_SESSION_WORDS[:4]), max_size=2),
+            st.booleans(),
+            st.integers(min_value=0, max_value=6),
+            st.lists(st.sampled_from(_SESSION_TARGETS), max_size=2),
+            st.sampled_from([(2, 0.5), (1, 0.0), (4, 1.0)]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_searches_sharing_one_memo_match_the_replaced_search(model, source_stem, previous_stem, searches):
+    """Any run of searches through one memo returns what each search from
+    scratch returns: the memo keeps only the rounds whose inputs are
+    unchanged.  Each search takes a prefix of one source and of one previous
+    translation and appends a few tokens, so successive searches share long
+    prefixes, differ in completeness, or switch beam size and weight."""
+    memo = BeamMemo()
+    for source_cut, source_tail, source_complete, previous_cut, previous_tail, (beam, weight) in searches:
+        source = source_stem[:source_cut] + source_tail
+        previous = tuple(previous_stem[:previous_cut] + previous_tail)
+        config = DecoderConfig(beam_size=beam, bias_weight=weight, previous_translation=previous)
+        expected = decoder_oracle.biased_beam_search(model, source, source_complete, config)
+        assert biased_beam_search(model, source, source_complete, config, memo=memo) == expected
+
+
+_RUN_ON = (
+    "das blatt papier war teuer der zug gewinnt nicht heute die medikamente waren teuer das "
+    "gericht schmeckt heute gut neue medikamente könnten heute helfen die forscher sind sehr gut anna"
+).split()
+
+
+@pytest.mark.parametrize("bias_weight, calls", [(1.0, 89), (0.5, 101)])
+def test_a_growing_sentence_costs_a_few_distributions_per_word(monkeypatch, toy_model, bias_weight, calls):
+    """Feeding a 30-word sentence one word at a time asks the table for a
+    number of distributions linear in the words.  At step t >= 2 the source
+    gained word t, which round t - 2 reads as its context, and the bias
+    target gained the token that step t - 1 added; so the search resumes at
+    round t - 2 and runs rounds t - 2, t - 1 and t (the end-of-sentence
+    round), one distribution each: 2 + 3 * 29 = 89 at weight 1, which keeps
+    every earlier token.  At weight 0.5 a few revisions of the bias target
+    send the search back further (12 more).  The search from round 0 that
+    asked once per hypothesis took 500 and 1530: quadratic."""
+    asked = []
+    serve = TableModel.next_distribution
+
+    def counting(self, source, source_complete, prefix):
+        asked.append(len(prefix))
+        return serve(self, source, source_complete, prefix)
+
+    monkeypatch.setattr(TableModel, "next_distribution", counting)
+    transcript = TimedTranscript(tuple(TimedToken(word, float(i)) for i, word in enumerate(_RUN_ON)))
+    run_simulation(transcript, toy_model, DecoderConfig(beam_size=4, bias_weight=bias_weight))
+    assert len(_RUN_ON) == 30
+    assert len(asked) == calls
 
 
 @pytest.mark.parametrize(

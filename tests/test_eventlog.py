@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from retrans import (
     Event,
     EventLog,
+    MetricsReport,
+    SweepRow,
+    TimedToken,
     append_event,
     load_captions,
     load_event_log,
@@ -15,9 +18,13 @@ from retrans import (
     load_table_model,
     load_transcript,
     save_event_log,
+    save_report,
+    save_sweep_rows,
+    save_transcript,
     tokenize,
 )
 from retrans.eventlog import format_seconds
+from retrans.pipeline import TimedTranscript
 
 import eventlog_oracle
 import replay_oracle
@@ -292,3 +299,46 @@ def test_readers_name_the_file_and_line_of_invalid_utf8(tmp_path, reader, first_
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 9001: not valid UTF-8: 'utf-8' codec"):
         reader(path)
 
+
+
+class _Unwritable:
+    def __repr__(self):
+        raise RuntimeError("cannot be written")
+
+
+# (writer, something it saves, something it fails to save part-way)
+_WRITERS = {
+    "event_log": (
+        save_event_log,
+        build_log((0.5, "a", "A")),
+        build_log((0.5, "a", "A"), (1.0, "a b\ud800", "A B")),
+    ),
+    "transcript": (
+        save_transcript,
+        TimedTranscript((TimedToken("a", 0.0),)),
+        TimedTranscript((TimedToken("a", 0.0), TimedToken("b\ud800", 1.0))),
+    ),
+    "report": (
+        save_report,
+        MetricsReport(1.0, 0.5, 0.0, (0,), (0.5,)),
+        MetricsReport(1.0, 0.5, 0.0, (0,), (object(),)),
+    ),
+    "sweep_rows": (
+        save_sweep_rows,
+        [SweepRow(0.0, 0, 1.0, 0.5, 0.0)],
+        [SweepRow(0.0, 0, 1.0, 0.5, 0.0), SweepRow(_Unwritable(), 0, 1.0, 0.5, 0.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("writer, good, bad", list(_WRITERS.values()), ids=list(_WRITERS))
+def test_a_failed_save_keeps_the_old_file_and_leaves_nothing_behind(tmp_path, writer, good, bad):
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises((UnicodeEncodeError, TypeError, RuntimeError)):
+        writer(bad, path)
+    assert path.read_bytes() == b"old bytes\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["out.jsonl"]
+    writer(good, path)
+    assert path.read_bytes() != b"old bytes\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["out.jsonl"]

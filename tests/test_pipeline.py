@@ -13,10 +13,13 @@ from retrans import (
     DecoderConfig,
     END_OF_SOURCE,
     EOS_TOKEN,
+    ReferenceDocument,
+    ReferenceSegment,
     SessionState,
     TableModel,
     TimedToken,
     TimedTranscript,
+    erasure,
     load_event_log,
     load_transcript,
     normalized_erasure,
@@ -25,6 +28,7 @@ from retrans import (
     save_transcript,
     split_sentences,
     step,
+    sweep,
 )
 
 
@@ -332,6 +336,133 @@ def test_replay_matches_the_oracle_on_a_toy_talk(tmp_path, toy_model, toy_talk):
     for beam_size, bias_weight, mask_length, chunk_size, delay in settings_grid:
         config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight, mask_length=mask_length)
         assert_replays_agree(tmp_path, toy_talk, toy_model, config, chunk_size, delay)
+
+
+# ---------------------------------------------------------------------------
+# The paper's two knobs, bias weight and mask length: what holds for every
+# session, not just on average
+
+
+_KNOB_TARGETS = ("X", "Y", "Z.", "W")
+
+
+@st.composite
+def knob_models(draw, targets=_KNOB_TARGETS):
+    entries = {}
+    for word in draw(st.lists(st.sampled_from(_SOURCE_WORDS), unique=True)):
+        extra = draw(st.lists(st.sampled_from(_CONTEXTS[1:]), max_size=2, unique=True))
+        for context in [ANY_CONTEXT, *extra]:
+            probs = draw(st.sampled_from(_DISTRIBUTIONS))
+            chosen = draw(st.lists(st.sampled_from(targets), min_size=len(probs), max_size=len(probs), unique=True))
+            entries[(word, context)] = dict(zip(chosen, probs))
+    return TableModel(entries)
+
+
+_KNOB_WORDS = st.lists(st.sampled_from(_SOURCE_WORDS), min_size=1, max_size=12)
+_KNOB_WEIGHTS = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.8]), st.floats(min_value=0.0, max_value=1.0))
+_MASKS = range(6)
+
+
+def _timed(words) -> TimedTranscript:
+    return TimedTranscript(tuple(TimedToken(word, float(i)) for i, word in enumerate(words)))
+
+
+def _swept(model, transcript, bias_weights, beam_size):
+    reference = ReferenceDocument((ReferenceSegment(transcript.tokens, "X Y W"),))
+    return sweep(model, [("doc.jsonl", transcript, reference)], bias_weights, list(_MASKS), beam_size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=knob_models(targets=_KNOB_TARGETS + (EOS_TOKEN,)),
+    words=_KNOB_WORDS,
+    bias_weight=_KNOB_WEIGHTS,
+    beam_size=st.integers(min_value=1, max_value=4),
+    chunk_size=st.integers(min_value=1, max_value=3),
+)
+def test_no_event_erases_more_under_a_longer_mask(model, words, bias_weight, beam_size, chunk_size):
+    """For a fixed bias weight, beam and chunk, each event's erasure, and so
+    the total, never grows as the mask length k grows.
+
+    Proof.  The mask only changes the display, so every k sees the same
+    frozen tokens F_e and live translation L_e at event e, and the display
+    D_e under k + 1 is D_e under k less its last token when |L_e| > k
+    (d_e = 1), else the same.  The erasure from X = D_{e-1} to Y = D_e is
+    |X| - lcp(X, Y); cutting d_{e-1} tokens off X and d_e off Y changes it
+    by -d_{e-1}, plus 1 when the shorter lcp falls below the old one, which
+    needs X to be a prefix of Y with d_{e-1} = 1, or Y a prefix of X with
+    d_e = 1.  The latter also needs d_{e-1} = 1: with |L_{e-1}| <= k, X is
+    F_{e-1}, and Y holds F_e, which extends it, plus at least one live
+    token, so it is longer than X.  Either way the change is at most 0."""
+    transcript = _timed(words)
+    erased = [
+        erasure(run_simulation(transcript, model, DecoderConfig(beam_size, bias_weight, k), chunk_size))
+        for k in _MASKS
+    ]
+    for shorter, longer in zip(erased, erased[1:]):
+        assert len(longer) == len(shorter)
+        assert all(b <= a for a, b in zip(shorter, longer)), (shorter, longer)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=knob_models(targets=_KNOB_TARGETS + (EOS_TOKEN,)),
+    words=_KNOB_WORDS,
+    beam_size=st.integers(min_value=1, max_value=4),
+    chunk_size=st.integers(min_value=1, max_value=3),
+)
+def test_full_bias_never_erases_at_any_mask_beam_or_chunk(model, words, beam_size, chunk_size):
+    """At bias weight 1 no event erases anything, whatever k, beam and chunk.
+
+    Proof.  Weight 1 gives every token but the bias target probability 0,
+    which the search skips, so each retranslation of a sentence, its last
+    one included, extends its previous unmasked translation.  The frozen
+    tokens only grow, and a live translation that extends the last one
+    keeps its masked prefix too, so every display extends the one before."""
+    transcript = _timed(words)
+    for k in _MASKS:
+        log = run_simulation(transcript, model, DecoderConfig(beam_size, 1.0, k), chunk_size)
+        assert sum(erasure(log)) == 0
+
+
+_SENTENCE_ENDS = st.sampled_from([word for word in _SOURCE_WORDS if word.endswith((".", "?", "!"))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=knob_models(), words=_KNOB_WORDS, last=_SENTENCE_ENDS, beam_size=st.integers(min_value=1, max_value=4))
+def test_a_full_bias_sweep_reads_zero_erasure(model, words, last, beam_size):
+    """The property above, read from ``sweep`` rows: normalized erasure 0
+    at weight 1 under every k.  (The transcript ends a sentence and no
+    target ends one, so every final display has a token to score.)"""
+    rows = _swept(model, _timed([*words, last]), [1.0], beam_size)
+    assert [row.normalized_erasure for row in rows] == [0.0] * len(_MASKS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=knob_models(),
+    words=_KNOB_WORDS,
+    last=_SENTENCE_ENDS,
+    bias_weight=_KNOB_WEIGHTS,
+    beam_size=st.integers(min_value=1, max_value=4),
+    chunk_size=st.integers(min_value=1, max_value=3),
+)
+def test_a_transcript_that_ends_a_sentence_ends_on_one_display_under_every_mask(
+    model, words, last, bias_weight, beam_size, chunk_size
+):
+    """When the transcript's last word ends a sentence, the final display,
+    and so the BLEU, is the same under every k.
+
+    Proof.  What is decoded does not depend on k.  After the last feed no
+    sentence is live, so nothing is masked: the final display is the frozen
+    translations alone, the same for every k, and BLEU reads only it."""
+    transcript = _timed([*words, last])
+    finals = {
+        run_simulation(transcript, model, DecoderConfig(beam_size, bias_weight, k), chunk_size).events[-1].output_text
+        for k in _MASKS
+    }
+    assert len(finals) == 1
+    assert len({row.bleu for row in _swept(model, transcript, [bias_weight], beam_size)}) == 1
 
 
 # ---------------------------------------------------------------------------
