@@ -14,11 +14,9 @@ from retrans import (
     ReferenceDocument,
     ReferenceSegment,
     TimedToken,
-    erasure,
     evaluate_all,
-    finalization,
-    normalized_erasure,
 )
+from retrans.metrics import erasure, finalization, normalized_erasure
 
 log = EventLog(
     (

@@ -8,7 +8,8 @@ the moment it diverges, decoding continues unbiased.
 
 from pathlib import Path
 
-from retrans import DecoderConfig, biased_beam_search, load_table_model
+from retrans import DecoderConfig, load_table_model
+from retrans.decoder import biased_beam_search
 
 model = load_table_model(Path(__file__).resolve().parents[1] / "data" / "minimal_model.tsv")
 

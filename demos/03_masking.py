@@ -14,7 +14,8 @@ word is never shown until it has settled.
 
 from pathlib import Path
 
-from retrans import DecoderConfig, SessionState, TimedToken, load_table_model, step
+from retrans import DecoderConfig, TimedToken, load_table_model
+from retrans.pipeline import SessionState, step
 
 model = load_table_model(Path(__file__).resolve().parents[1] / "data" / "toy" / "model.tsv")
 words = ["die", "medikamente", "könnten", "helfen."]

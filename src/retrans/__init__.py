@@ -1,15 +1,13 @@
 """Deterministic re-translation over streaming transcripts, and metrics
 for what that does to viewers: quality (segmented corpus BLEU), latency
-(translation lag) and stability (normalized erasure)."""
+(translation lag) and stability (normalized erasure).
 
-from .align import Segmentation, lcp_len, mwer_segment, split_by_boundaries
-from .cli import (
-    SweepRow,
-    main,
-    pareto_subset,
-    save_sweep_rows,
-    sweep,
-)
+The package exports what the README's quick tour, the command file formats,
+the model file format and the :class:`ScoringModel` seam need; everything
+else is imported from its module (``retrans.pipeline``, ``retrans.metrics``,
+...)."""
+
+from .cli import main
 from .decoder import (
     ANY_CONTEXT,
     END_OF_SOURCE,
@@ -17,43 +15,24 @@ from .decoder import (
     DecoderConfig,
     ScoringModel,
     TableModel,
-    biased_beam_search,
     load_table_model,
-    mask_tail,
 )
-from .eventlog import (
-    Event,
-    EventLog,
-    TimedToken,
-    append_event,
-    load_event_log,
-    save_event_log,
-    tokenize,
-)
+from .eventlog import Event, EventLog, TimedToken, load_event_log, save_event_log, tokenize
+from .grid import SweepRow, pareto_subset, save_sweep_rows, sweep
 from .metrics import (
     MetricsReport,
     ReferenceDocument,
     ReferenceSegment,
-    bleu_corpus,
-    correspondence,
-    erasure,
     evaluate_all,
-    evaluate_quality,
-    finalization,
     load_reference_document,
-    normalized_erasure,
     save_report,
-    token_lags,
 )
 from .pipeline import (
-    SessionState,
     TimedTranscript,
     load_captions,
     load_transcript,
     run_simulation,
     save_transcript,
-    split_sentences,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -69,40 +48,23 @@ __all__ = [
     "ReferenceDocument",
     "ReferenceSegment",
     "ScoringModel",
-    "Segmentation",
-    "SessionState",
     "SweepRow",
     "TableModel",
     "TimedToken",
     "TimedTranscript",
-    "append_event",
-    "biased_beam_search",
-    "bleu_corpus",
-    "correspondence",
-    "erasure",
     "evaluate_all",
-    "evaluate_quality",
-    "finalization",
-    "lcp_len",
     "load_captions",
     "load_event_log",
     "load_reference_document",
     "load_table_model",
     "load_transcript",
     "main",
-    "mask_tail",
-    "mwer_segment",
-    "normalized_erasure",
     "pareto_subset",
     "run_simulation",
     "save_event_log",
     "save_report",
     "save_sweep_rows",
     "save_transcript",
-    "split_by_boundaries",
-    "split_sentences",
-    "step",
     "sweep",
-    "token_lags",
     "tokenize",
 ]

@@ -1,11 +1,12 @@
-"""Command-line surface, grid sweeps and the Pareto subset.
+"""The command line: four subcommands that parse their arguments and call
+the library.
 
-Four subcommands cover the full workflow: ``ingest-captions`` turns caption
-cues into a timed transcript, ``simulate`` replays a transcript through the
-translator and writes the session log, ``evaluate`` scores one session
-log against its reference, and ``sweep`` grids over bias weights and mask
-lengths, aggregates over a directory of documents, and writes the rows plus
-their Pareto-optimal subset as CSV.
+``ingest-captions`` turns caption cues into a timed transcript,
+``simulate`` replays a transcript through the translator and writes the
+session log, ``evaluate`` scores one session log against its reference, and
+``sweep`` grids over bias weights and mask lengths over a directory of
+documents (:mod:`retrans.grid`) and writes the rows plus their
+Pareto-optimal subset as CSV.
 
 Every command exits 0 on success and nonzero with a diagnostic on stderr
 for invalid inputs.  Outputs are deterministic: identical inputs produce
@@ -15,193 +16,19 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .align import lcp_len
-from .decoder import DecoderConfig, ScoringModel, load_table_model
-from .eventlog import format_seconds, load_event_log, replacing_file, save_event_log, tokenize
-from .metrics import (
-    DisplayFold, ReferenceDocument, Scorer, bleu_score, evaluate_all, lags_at, load_reference_document, save_report,
-)
+from .decoder import DecoderConfig, load_table_model
+from .eventlog import load_event_log, save_event_log, tokenize
+from .grid import pareto_subset, save_sweep_rows, sweep
+from .metrics import ReferenceDocument, check_source, evaluate_all, load_reference_document, save_report
+from .pipeline import TimedTranscript, load_captions, load_transcript, run_simulation, save_transcript
+
 # These go unused here: perfbench/tracing.py wraps them on this module.
 from .align import mwer_segment, split_by_boundaries
 from .metrics import bleu_corpus, erasure, token_lags
-from .pipeline import (
-    SessionState,
-    TimedTranscript,
-    advance,
-    display_text,
-    load_captions,
-    load_transcript,
-    run_simulation,
-    save_transcript,
-)
-
-
-# ---------------------------------------------------------------------------
-# Grid sweep
-
-
-@dataclass(frozen=True, slots=True)
-class SweepRow:
-    """Corpus-level scores for one (bias weight, mask length) setting."""
-
-    bias_weight: float
-    mask_length: int
-    bleu: float
-    translation_lag: float
-    normalized_erasure: float
-
-
-@dataclass(slots=True)
-class _Pool:
-    """One grid point's scores pooled over the documents scored so far, with
-    ``ref_len`` the token count of all the documents' references."""
-
-    ref_len: int
-    statistics: list[int] = field(default_factory=lambda: [0] * 8)
-    lags: list[float] = field(default_factory=list)
-    erased: int = 0
-
-    def add(self, fold: DisplayFold, event_times: list[float], scorer: Scorer) -> None:
-        statistics, _, spoken = scorer.final(fold.display)
-        self.lags.extend(lags_at(fold.changed, event_times, spoken))
-        self.statistics = [pooled + more for pooled, more in zip(self.statistics, statistics)]
-        self.erased += sum(fold.erased)
-
-    def row(self, bias_weight: float, mask_length: int) -> SweepRow:
-        return SweepRow(
-            bias_weight,
-            mask_length,
-            bleu_score(self.statistics, self.ref_len),
-            math.fsum(self.lags) / len(self.lags),
-            self.erased / len(self.lags),  # one lag per final token
-        )
-
-
-def sweep(
-    model: ScoringModel,
-    documents: Sequence[tuple[str, TimedTranscript, ReferenceDocument]],
-    bias_weights: Sequence[float],
-    mask_lengths: Sequence[int],
-    beam_size: int,
-) -> list[SweepRow]:
-    """Simulate and evaluate every document under every setting.
-
-    BLEU is computed corpus-wide by pooling all documents' per-segment
-    statistics; lag and erasure are pooled per token, which equals averaging
-    per-document scores weighted by their final output token counts.  Rows
-    come out ordered by the grids, bias weights outermost.
-
-    The mask only changes the display: the search is biased toward the
-    previous *unmasked* translation.  So each (bias weight, document) pair
-    is decoded once, and each decoded state is shown under every mask
-    length into that length's :class:`~retrans.metrics.DisplayFold`, scored
-    with the events' times as soon as the document ends.  It is scored
-    through :class:`~retrans.metrics.Scorer`, as ``evaluate_all`` scores a
-    session: each reference is prepared once per sweep, and each distinct
-    final translation of a document is segmented once for both BLEU and lag.
-
-    Every setting and every transcript is checked before anything is
-    decoded: an out-of-range setting fails naming it, and a transcript that
-    is not its reference's source fails naming the document.  A later
-    failure aborts the sweep, naming the bias weight, the document and,
-    when scoring failed, the mask length.
-    """
-    if not documents:
-        raise ValueError("sweep needs at least one document")
-    if not bias_weights or not mask_lengths:
-        raise ValueError("sweep needs at least one bias weight and one mask length")
-    for bias_weight in bias_weights:
-        for mask_length in mask_lengths:
-            try:
-                DecoderConfig(beam_size=beam_size, bias_weight=bias_weight, mask_length=mask_length)
-            except ValueError as exc:
-                raise ValueError(
-                    f"sweep setting beta={bias_weight!r} k={mask_length} beam={beam_size}: {exc}"
-                ) from None
-    scorers = []
-    for name, transcript, reference in documents:
-        words = [tok.token for tok in transcript.tokens]
-        _check_source(words, f"document {name}: the transcript", reference, "its reference's source")
-        scorers.append(Scorer(reference))
-    ref_len = sum(scorer.ref_len for scorer in scorers)
-    rows = []
-    for bias_weight in bias_weights:
-        config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight)
-        pools = {mask_length: _Pool(ref_len) for mask_length in mask_lengths}
-        for (name, transcript, _), scorer in zip(documents, scorers):
-            folds = {mask_length: DisplayFold() for mask_length in pools}
-            event_times = []
-            state = SessionState()
-            try:
-                for token in transcript.tokens:
-                    state = advance(state, (token,), model, config)
-                    event_times.append(float(format_seconds(state.last_time)))  # as display_event stamps it
-                    for mask_length, fold in folds.items():
-                        fold.add(display_text(state, mask_length))
-            except ValueError as exc:
-                raise ValueError(f"sweep failed at beta={bias_weight!r} document={name}: {exc}") from None
-            for mask_length, fold in folds.items():
-                try:
-                    pools[mask_length].add(fold, event_times, scorer)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"sweep failed at beta={bias_weight!r} k={mask_length} document={name}: {exc}"
-                    ) from None
-        rows.extend(pools[mask_length].row(bias_weight, mask_length) for mask_length in mask_lengths)
-    return rows
-
-
-def pareto_subset(rows: Sequence[SweepRow], erasure_ceiling: float | None = None) -> list[SweepRow]:
-    """Rows not dominated in (BLEU up, lag down), among those whose
-    normalized erasure stays within ``erasure_ceiling`` (no ceiling: all
-    rows are eligible).  Input order is preserved; rows with identical BLEU
-    and lag do not dominate each other.  A ceiling that is not a number
-    >= 0 raises ``ValueError``."""
-    if erasure_ceiling is not None and not erasure_ceiling >= 0.0:  # also true for nan
-        raise ValueError(f"erasure_ceiling must be a number >= 0, got {erasure_ceiling!r}")
-    eligible = [
-        row
-        for row in rows
-        if erasure_ceiling is None or row.normalized_erasure <= erasure_ceiling
-    ]
-    front = []
-    for row in eligible:
-        dominated = any(
-            other.bleu >= row.bleu
-            and other.translation_lag <= row.translation_lag
-            and (other.bleu > row.bleu or other.translation_lag < row.translation_lag)
-            for other in eligible
-        )
-        if not dominated:
-            front.append(row)
-    return front
-
-
-def save_sweep_rows(rows: Sequence[SweepRow], path: str | Path) -> None:
-    """Write rows as CSV with the header ``beta,k,bleu,tl,ne``.  Floats are
-    written in shortest round-trip form, so reading the file back yields
-    the exact same values.  A failed save leaves ``path`` as it was."""
-    with replacing_file(path) as handle:
-        handle.write("beta,k,bleu,tl,ne\n")
-        for row in rows:
-            handle.write(
-                f"{row.bias_weight!r},{row.mask_length},{row.bleu!r},"
-                f"{row.translation_lag!r},{row.normalized_erasure!r}\n"
-            )
-
-
-def _pareto_path(out: Path) -> Path:
-    return out.with_suffix(".pareto.csv")
-
-
-# ---------------------------------------------------------------------------
-# Command surface
 
 
 def _parse_grid_floats(text: str) -> list[float]:
@@ -225,21 +52,6 @@ def _parse_ne_ceiling(text: str) -> float:
     return value
 
 
-def _check_source(words: list[str], what: str, reference: ReferenceDocument, of: str) -> None:
-    """Raise ``ValueError`` unless ``words`` are the source words of
-    ``reference``, naming the first token where they differ; ``what`` and
-    ``of`` name the two sides in the message."""
-    expected = [tok.token for seg in reference.segments for tok in seg.source_tokens]
-    if words != expected:
-        at = lcp_len(words, expected)
-        seen = repr(words[at]) if at < len(words) else "no token"
-        wanted = repr(expected[at]) if at < len(expected) else "no token"
-        raise ValueError(
-            f"{what} ({len(words)} tokens) differs from {of} ({len(expected)} tokens) "
-            f"at token {at + 1}: {seen} instead of {wanted}"
-        )
-
-
 def _cmd_ingest_captions(args: argparse.Namespace) -> int:
     save_transcript(load_captions(args.cues), args.out)
     return 0
@@ -258,7 +70,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     log = load_event_log(args.events)
     reference = load_reference_document(args.reference)
     spoken = tokenize(log.events[-1].source_text) if log.events else []
-    _check_source(spoken, f"{args.events}: the final source", reference, f"the source of {args.reference}")
+    check_source(spoken, f"{args.events}: the final source", reference, f"the source of {args.reference}")
     report = evaluate_all(log, reference, mode=args.correspondence)
     save_report(report, args.out)
     return 0
@@ -285,7 +97,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep(model, documents, args.betas, args.ks, args.beam)
     out = Path(args.out)
     save_sweep_rows(rows, out)
-    save_sweep_rows(pareto_subset(rows, args.ne_ceiling), _pareto_path(out))
+    save_sweep_rows(pareto_subset(rows, args.ne_ceiling), out.with_suffix(".pareto.csv"))
     return 0
 
 

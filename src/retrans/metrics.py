@@ -17,7 +17,10 @@ Erasure and finalization come from one pass over the displays
 (:class:`DisplayFold`), each compared only with the one before it, so the
 final display need not be known first.  The final translation is segmented
 once (:class:`Scorer`), and that one segmentation serves both BLEU and the
-source positions that lag reads.
+source positions that lag reads.  A :class:`Tally` turns folded sessions
+and their scorers into the three numbers: :func:`evaluate_all` is a tally
+of one session, and :func:`retrans.grid.sweep` keeps one per mask length,
+pooled over its documents.
 """
 
 from __future__ import annotations
@@ -71,6 +74,21 @@ class ReferenceDocument:
 
     def reference_token_segments(self) -> list[list[str]]:
         return [tokenize(seg.reference_text) for seg in self.segments]
+
+
+def check_source(words: list[str], what: str, reference: ReferenceDocument, of: str) -> None:
+    """Raise ``ValueError`` unless ``words`` are the source words of
+    ``reference``, naming the first token where they differ; ``what`` and
+    ``of`` name the two sides in the message."""
+    expected = [tok.token for seg in reference.segments for tok in seg.source_tokens]
+    if words != expected:
+        at = lcp_len(words, expected)
+        seen = repr(words[at]) if at < len(words) else "no token"
+        wanted = repr(expected[at]) if at < len(expected) else "no token"
+        raise ValueError(
+            f"{what} ({len(words)} tokens) differs from {of} ({len(expected)} tokens) "
+            f"at token {at + 1}: {seen} instead of {wanted}"
+        )
 
 
 def load_reference_document(path: str | Path) -> ReferenceDocument:
@@ -351,26 +369,61 @@ class MetricsReport:
     per_token_lag: tuple[float, ...]
 
 
+class Tally:
+    """BLEU, TL and NE pooled over the sessions added so far, in order:
+    BLEU from the summed integer statistics against all their references,
+    TL as the mean of all their final tokens' lags, and NE as all their
+    erased tokens per final token.  One session's tally is its report."""
+
+    __slots__ = ("statistics", "ref_len", "lags", "erased")
+
+    def __init__(self) -> None:
+        self.statistics = [0] * 8
+        self.ref_len = 0
+        self.lags: list[float] = []
+        self.erased: list[int] = []
+
+    def add(
+        self,
+        fold: DisplayFold,
+        event_times: Sequence[float],
+        scorer: Scorer,
+        spoken: Sequence[float] | None = None,
+    ) -> None:
+        """Add one session: its displays folded, the time of each of its
+        events, and the scorer of its reference.  Its final display is
+        scored through ``scorer``, whose segmentation also places the lags,
+        unless ``spoken`` gives each final token's spoken time instead."""
+        statistics, _, segment_spoken = scorer.final(fold.display)
+        lags = lags_at(fold.changed, event_times, segment_spoken if spoken is None else spoken)
+        self.statistics = [pooled + more for pooled, more in zip(self.statistics, statistics)]
+        self.ref_len += scorer.ref_len
+        self.lags += lags
+        self.erased += fold.erased
+
+    def report(self) -> MetricsReport:
+        return MetricsReport(
+            bleu=bleu_score(self.statistics, self.ref_len),
+            translation_lag=math.fsum(self.lags) / len(self.lags),
+            normalized_erasure=sum(self.erased) / len(self.lags),  # one lag per final token
+            per_event_erasure=tuple(self.erased),
+            per_token_lag=tuple(self.lags),
+        )
+
+
 def evaluate_all(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> MetricsReport:
-    """Evaluate one session end to end: its displays are folded once for
-    lag and erasure, and its final translation is segmented once for BLEU
-    and for the lag's source positions (:class:`Scorer`); "document" mode
-    takes those positions from :func:`correspondence` instead."""
+    """Evaluate one session end to end, as a :class:`Tally` of one: its
+    displays are folded once for lag and erasure, and its final translation
+    is segmented once for BLEU and for the lag's source positions
+    (:class:`Scorer`); "document" mode takes those positions from
+    :func:`correspondence` instead."""
     if not log.events:
         raise ValueError("lag needs at least one event")
-    fold = DisplayFold(event.output_text for event in log)
     scorer = Scorer(doc)
-    statistics, _, spoken = scorer.final(fold.display)
-    if mode != "segment":
-        spoken = spoken_times(correspondence(log, doc, mode=mode), scorer.times)
-    lags = lags_at(fold.changed, [event.time for event in log], spoken)  # one lag per final token, at least one
-    return MetricsReport(
-        bleu=bleu_score(statistics, scorer.ref_len),
-        translation_lag=math.fsum(lags) / len(lags),
-        normalized_erasure=sum(fold.erased) / len(lags),
-        per_event_erasure=tuple(fold.erased),
-        per_token_lag=tuple(lags),
-    )
+    spoken = None if mode == "segment" else spoken_times(correspondence(log, doc, mode=mode), scorer.times)
+    tally = Tally()
+    tally.add(DisplayFold(event.output_text for event in log), [event.time for event in log], scorer, spoken)
+    return tally.report()
 
 
 def save_report(report: MetricsReport, path: str | Path) -> None:

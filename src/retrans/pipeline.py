@@ -158,9 +158,9 @@ class SessionState:
     is complete), the only words the next split reads, and ``last_time``
     the time of the last fed word (0.0 before the first feed).
     ``source_text`` joins every word fed so far by single spaces, and
-    ``frozen_text`` is every frozen translation token followed by one space:
-    the running texts each event extends.  ``frozen_translations`` holds one
-    finished translation per completed sentence, in order.
+    ``frozen_text`` is every frozen translation token, completed sentence
+    by sentence, each followed by one space: the running texts each event
+    extends.
     ``previous_unmasked`` is the live sentence's latest unmasked
     translation: the bias target of its next retranslation and the tail the
     display masks.  ``memo`` holds the live sentence's search rounds, from
@@ -174,7 +174,6 @@ class SessionState:
     last_time: float = 0.0
     source_text: str = ""
     frozen_text: str = ""
-    frozen_translations: tuple[tuple[str, ...], ...] = ()
     previous_unmasked: tuple[str, ...] = ()
     memo: BeamMemo = field(default_factory=BeamMemo, compare=False, repr=False)
 
@@ -206,7 +205,6 @@ def advance(
     fed = tuple(tok.token for tok in new_tokens)
     sentences, last_complete = split_sentences(state.live + fed)  # the frozen prefix ends at a cut
 
-    frozen = state.frozen_translations
     frozen_text = state.frozen_text
     previous_unmasked: tuple[str, ...] = ()
     memo = state.memo
@@ -224,7 +222,6 @@ def advance(
             memo=memo,
         )
         if complete:
-            frozen += (translated,)
             frozen_text += "".join(token + " " for token in translated)
         else:
             previous_unmasked = translated
@@ -235,7 +232,7 @@ def advance(
         live, memo = (), BeamMemo()
     else:
         live = tuple(sentences[-1])
-    return SessionState(live, new_tokens[-1].time, source_text, frozen_text, frozen, previous_unmasked, memo)
+    return SessionState(live, new_tokens[-1].time, source_text, frozen_text, previous_unmasked, memo)
 
 
 def display_event(state: SessionState, mask_length: int, delay: float = 0.0) -> Event:

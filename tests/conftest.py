@@ -11,12 +11,12 @@ from retrans import (
     ReferenceDocument,
     TableModel,
     TimedToken,
-    append_event,
     load_reference_document,
     load_table_model,
     load_transcript,
 )
 from retrans.decoder import ANY_CONTEXT, END_OF_SOURCE
+from retrans.eventlog import append_event
 from retrans.pipeline import TimedTranscript
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"

@@ -20,23 +20,18 @@ from retrans import (
     ReferenceDocument,
     ReferenceSegment,
     TimedToken,
-    biased_beam_search,
-    bleu_corpus,
-    erasure,
     evaluate_all,
-    finalization,
     main,
-    mask_tail,
-    mwer_segment,
-    normalized_erasure,
     pareto_subset,
     run_simulation,
     save_sweep_rows,
-    split_sentences,
-    step,
     sweep,
+    tokenize,
 )
-from retrans.pipeline import SessionState
+from retrans.align import mwer_segment
+from retrans.decoder import biased_beam_search, mask_tail
+from retrans.metrics import bleu_corpus, erasure, finalization, normalized_erasure
+from retrans.pipeline import SessionState, split_sentences, step
 
 from conftest import TOY_DIR, build_log
 from test_align import brute_force_segment
@@ -202,7 +197,7 @@ def test_mask_contract_on_fixtures(toy_model, toy_documents):
 
 
 def _frozen_display(state: SessionState) -> tuple[str, ...]:
-    return tuple(token for sentence in state.frozen_translations for token in sentence)
+    return tuple(tokenize(state.frozen_text))
 
 
 def test_corpus_stability_properties(toy_model, toy_documents):
@@ -219,9 +214,9 @@ def test_corpus_stability_properties(toy_model, toy_documents):
             for _, transcript, _ in toy_documents:
                 state = SessionState()
                 for token in transcript.tokens:
-                    previous_frozen = state.frozen_translations
+                    previous_frozen = state.frozen_text
                     state, event = step(state, [token], toy_model, config)
-                    assert state.frozen_translations[: len(previous_frozen)] == previous_frozen
+                    assert state.frozen_text[: len(previous_frozen)] == previous_frozen
                     shown = event.output_text.split()
                     frozen_part = _frozen_display(state)
                     assert tuple(shown[: len(frozen_part)]) == frozen_part
@@ -233,8 +228,10 @@ def test_corpus_stability_properties(toy_model, toy_documents):
             log = run_simulation(transcript, toy_model, deep)
             state = SessionState()
             for token in transcript.tokens:
+                frozen_before = len(state.frozen_text)
                 state, _ = step(state, [token], toy_model, deep)
-            longest = max(longest, max(len(s) for s in state.frozen_translations))
+                # one fed word closes at most one sentence: what it froze is that sentence's translation
+                longest = max(longest, len(tokenize(state.frozen_text[frozen_before:])))
             assert normalized_erasure(log) == 0.0
         assert deep.mask_length >= longest
 

@@ -8,13 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from retrans import (
     DecoderConfig,
-    Segmentation,
-    lcp_len,
-    mwer_segment,
     run_simulation,
-    split_by_boundaries,
     tokenize,
 )
+from retrans.align import Segmentation, lcp_len, mwer_segment, split_by_boundaries
 
 
 def levenshtein(a, b):

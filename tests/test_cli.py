@@ -26,20 +26,11 @@ from retrans import (
     save_report,
     save_event_log,
 )
-from retrans.cli import (
-    SweepRow,
-    _parse_grid_floats,
-    _parse_grid_ints,
-    _parse_ne_ceiling,
-    _pareto_path,
-    main,
-    pareto_subset,
-    save_sweep_rows,
-    sweep,
-)
 from retrans.align import mwer_segment
+from retrans.cli import _parse_grid_floats, _parse_grid_ints, _parse_ne_ceiling, main
 from retrans.decoder import EOS_TOKEN
 from retrans.eventlog import tokenize
+from retrans.grid import SweepRow, pareto_subset, save_sweep_rows, sweep
 from retrans.pipeline import TimedTranscript
 
 from conftest import TOY_DIR
@@ -529,7 +520,7 @@ def test_sweep_command_rejects_a_transcript_of_another_document(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: document x.jsonl: the transcript (")
     assert "at token 1: 'die' instead of 'das'" in err
-    assert not out.exists() and not _pareto_path(out).exists()
+    assert not out.exists() and not out.with_suffix(".pareto.csv").exists()
 
 
 def test_sweep_command_writes_rows_and_pareto_sibling(tmp_path, toy_model, toy_documents):
@@ -559,7 +550,7 @@ def test_sweep_command_writes_rows_and_pareto_sibling(tmp_path, toy_model, toy_d
     documents.sort(key=lambda doc: doc[0])  # the command collects files in sorted order
     expected = sweep(toy_model, documents, [0.0, 0.5], [0, 5], beam_size=2)
     assert read_rows(out) == expected
-    pareto = read_rows(_pareto_path(out))
+    pareto = read_rows(out.with_suffix(".pareto.csv"))
     assert pareto == pareto_subset(expected, 0.1)
     assert all(row in expected for row in pareto)
 
@@ -682,7 +673,7 @@ def test_sweep_rejects_a_bad_ne_ceiling_before_running(tmp_path, capsys, ceiling
         main(argv)
     assert excinfo.value.code == 2
     assert "--ne-ceiling" in capsys.readouterr().err
-    assert not out.exists() and not _pareto_path(out).exists()
+    assert not out.exists() and not out.with_suffix(".pareto.csv").exists()
 
 
 def test_ne_ceiling_parser():

@@ -12,19 +12,15 @@ import decoder_oracle
 from retrans import (
     DecoderConfig,
     EOS_TOKEN,
-    SessionState,
     TableModel,
     TimedToken,
-    biased_beam_search,
     load_table_model,
-    mask_tail,
     pipeline,
     run_simulation,
     save_event_log,
-    step,
 )
-from retrans.decoder import ANY_CONTEXT, END_OF_SOURCE, BeamMemo, _biased_step
-from retrans.pipeline import TimedTranscript
+from retrans.decoder import ANY_CONTEXT, END_OF_SOURCE, BeamMemo, _biased_step, biased_beam_search, mask_tail
+from retrans.pipeline import SessionState, TimedTranscript, step
 
 from conftest import DATA_DIR
 

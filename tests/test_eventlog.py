@@ -11,7 +11,6 @@ from retrans import (
     MetricsReport,
     SweepRow,
     TimedToken,
-    append_event,
     load_captions,
     load_event_log,
     load_reference_document,
@@ -23,7 +22,7 @@ from retrans import (
     save_transcript,
     tokenize,
 )
-from retrans.eventlog import format_seconds
+from retrans.eventlog import append_event, format_seconds
 from retrans.pipeline import TimedTranscript
 
 import eventlog_oracle

@@ -20,22 +20,24 @@ from retrans import (
     ReferenceDocument,
     ReferenceSegment,
     TimedToken,
-    append_event,
+    evaluate_all,
+    load_reference_document,
+    run_simulation,
+    save_report,
+    tokenize,
+)
+from retrans.align import mwer_segment
+from retrans.eventlog import append_event
+from retrans.metrics import (
+    DisplayFold,
     bleu_corpus,
     correspondence,
     erasure,
-    evaluate_all,
     evaluate_quality,
     finalization,
-    load_reference_document,
-    mwer_segment,
     normalized_erasure,
-    run_simulation,
-    save_report,
     token_lags,
-    tokenize,
 )
-from retrans.metrics import DisplayFold
 
 from conftest import build_log
 from erasure_oracle import tokenizing_erasure

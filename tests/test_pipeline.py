@@ -15,21 +15,18 @@ from retrans import (
     EOS_TOKEN,
     ReferenceDocument,
     ReferenceSegment,
-    SessionState,
     TableModel,
     TimedToken,
     TimedTranscript,
-    erasure,
     load_event_log,
     load_transcript,
-    normalized_erasure,
     run_simulation,
     save_event_log,
     save_transcript,
-    split_sentences,
-    step,
     sweep,
 )
+from retrans.metrics import erasure, normalized_erasure
+from retrans.pipeline import SessionState, split_sentences, step
 
 
 def transcript_of(*pairs: tuple[str, float]) -> TimedTranscript:
@@ -94,19 +91,19 @@ def test_completed_sentence_is_translated_with_end_context(greedy_config):
     assert event.output_text == "Y"
     state, event = step(state, [TimedToken("x.", 1.0)], END_MODEL, greedy_config)
     # the sentence just closed, so "x." is looked up under the end marker
-    assert state.frozen_translations == (("Y", "X."),)
+    assert state.frozen_text == "Y X. "
     assert event.output_text == "Y X."
 
 
 def test_frozen_sentences_never_change(greedy_config):
     state = SessionState()
     state, _ = step(state, [TimedToken("y", 0.0), TimedToken("x.", 1.0)], END_MODEL, greedy_config)
-    first_frozen = state.frozen_translations
+    first_frozen = state.frozen_text
     state, event = step(state, [TimedToken("y", 2.0)], END_MODEL, greedy_config)
-    assert state.frozen_translations == first_frozen
+    assert state.frozen_text == first_frozen
     assert event.output_text == "Y X. Y"
     state, event = step(state, [TimedToken("x.", 3.0)], END_MODEL, greedy_config)
-    assert state.frozen_translations == (("Y", "X."), ("Y", "X."))
+    assert state.frozen_text == "Y X. Y X. "
     assert event.output_text == "Y X. Y X."
 
 
@@ -114,7 +111,7 @@ def test_one_chunk_may_close_several_sentences(greedy_config):
     state = SessionState()
     feed = [TimedToken("y", 0.0), TimedToken("x.", 1.0), TimedToken("x.", 2.0)]
     state, event = step(state, feed, END_MODEL, greedy_config)
-    assert state.frozen_translations == (("Y", "X."), ("X.",))
+    assert state.frozen_text == "Y X. X. "
     assert event.output_text == "Y X. X."
 
 
@@ -292,7 +289,9 @@ def assert_replays_agree(tmp_path, transcript, model, config, chunk_size, delay)
         state, event = step(state, feed, model, config, delay)
         oracle_state, oracle_event = replay_oracle.step(oracle_state, feed, model, config, delay)
         assert event == oracle_event
-        assert state.frozen_translations == oracle_state.frozen_translations
+        assert state.frozen_text == "".join(
+            token + " " for sentence in oracle_state.frozen_translations for token in sentence
+        )
         assert state.previous_unmasked == oracle_state.previous_unmasked
         sentences, last_complete = replay_oracle.split_sentences([tok.token for tok in oracle_state.transcript])
         assert state.live == (() if last_complete else tuple(sentences[-1]))
