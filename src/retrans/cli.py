@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -31,25 +32,26 @@ from .align import mwer_segment, split_by_boundaries
 from .metrics import bleu_corpus, erasure, token_lags
 
 
-def _parse_grid_floats(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
+def _parse_grid(convert: type[int] | type[float], text: str) -> list:
+    """A comma-separated list of ``convert``'s values, blank items skipped;
+    argparse prints the message of the ``ArgumentTypeError`` a bad list raises."""
+    try:
+        values = [convert(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        values = []
     if not values:
-        raise ValueError("expected a comma-separated list of numbers")
-    return values
-
-
-def _parse_grid_ints(text: str) -> list[int]:
-    values = [int(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise ValueError("expected a comma-separated list of integers")
+        kind = "integers" if convert is int else "numbers"
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of {kind}, got {text!r}")
     return values
 
 
 def _parse_ne_ceiling(text: str) -> float:
-    value = float(text)
-    if not value >= 0.0:  # also false for nan
-        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
-    return value
+    try:
+        if float(text) >= 0.0:  # also false for nan
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
 
 
 def _cmd_ingest_captions(args: argparse.Namespace) -> int:
@@ -142,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--model", required=True, help="translation table TSV")
     grid.add_argument("--transcripts", required=True, help="directory of transcript JSONL files")
     grid.add_argument("--references", required=True, help="directory of same-named reference JSONL files")
-    grid.add_argument("--betas", required=True, type=_parse_grid_floats, help="comma-separated bias weights")
-    grid.add_argument("--ks", required=True, type=_parse_grid_ints, help="comma-separated mask lengths")
+    grid.add_argument("--betas", required=True, type=partial(_parse_grid, float), help="comma-separated bias weights")
+    grid.add_argument("--ks", required=True, type=partial(_parse_grid, int), help="comma-separated mask lengths")
     grid.add_argument("--beam", required=True, type=int, help="beam size")
     grid.add_argument(
         "--ne-ceiling",

@@ -75,20 +75,15 @@ class EventLog:
     """An ordered, change-only sequence of :class:`Event` snapshots.
 
     Invariants: timestamps never decrease, and consecutive events differ in
-    their (source, output) state.  Build logs through :func:`append_event`,
-    which silently drops no-change events and rejects clock regressions.
+    their (source, output) state: each event extends the one before it as
+    in :func:`append_event`, which drops a repeat instead of raising.
     """
 
     events: tuple[Event, ...] = ()
 
     def __post_init__(self) -> None:
-        for prev, cur in zip(self.events, self.events[1:]):
-            if cur.time < prev.time:
-                raise ValueError(
-                    f"event times must be non-decreasing, got {cur.time!r} after {prev.time!r}"
-                )
-            if cur.state() == prev.state():
-                raise ValueError("consecutive events must differ in source or output")
+        if not all(map(_is_change, self.events, self.events[1:])):
+            raise ValueError("consecutive events must differ in source or output")
 
     def __len__(self) -> int:
         return len(self.events)

@@ -14,9 +14,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .decoder import DecoderConfig, ScoringModel
-from .eventlog import format_seconds, replacing_file
+from .eventlog import replacing_file
 from .metrics import DisplayFold, ReferenceDocument, Scorer, Tally, check_source
-from .pipeline import SessionState, TimedTranscript, advance, display_text
+from .pipeline import SessionState, TimedTranscript, advance, display_text, event_time
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,10 +55,10 @@ def sweep(
     translation of a document is segmented once for both BLEU and lag.
 
     Every setting and every transcript is checked before anything is
-    decoded: an out-of-range setting fails naming it, and a transcript that
-    is not its reference's source fails naming the document.  A later
-    failure aborts the sweep, naming the bias weight, the document and,
-    when scoring failed, the mask length.
+    decoded: an out-of-range or repeated (``==``) setting fails naming it,
+    and a transcript that is not its reference's source fails naming the
+    document.  A later failure aborts the sweep, naming the bias weight, the
+    document and, when scoring failed, the mask length.
     """
     if not documents:
         raise ValueError("sweep needs at least one document")
@@ -72,6 +72,10 @@ def sweep(
                 raise ValueError(
                     f"sweep setting beta={bias_weight!r} k={mask_length} beam={beam_size}: {exc}"
                 ) from None
+    for what, grid in (("bias weight", bias_weights), ("mask length", mask_lengths)):
+        for index, value in enumerate(grid):
+            if value in grid[:index]:
+                raise ValueError(f"sweep grid repeats the {what} {value!r}")
     scorers = []
     for name, transcript, reference in documents:
         words = [tok.token for tok in transcript.tokens]
@@ -88,7 +92,7 @@ def sweep(
             try:
                 for token in transcript.tokens:
                     state = advance(state, (token,), model, config)
-                    event_times.append(float(format_seconds(state.last_time)))  # as display_event stamps it
+                    event_times.append(event_time(state, 0.0))
                     for mask_length, fold in folds.items():
                         fold.add(display_text(state, mask_length))
             except ValueError as exc:

@@ -64,7 +64,7 @@ class ReferenceDocument:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("a reference document needs at least one segment")
-        times = [tok.time for seg in self.segments for tok in seg.source_tokens]
+        times = self.source_times()
         for prev, cur in zip(times, times[1:]):
             if cur < prev:
                 raise ValueError("source token times must be non-decreasing")

@@ -20,11 +20,11 @@ translation.  The state carries the live sentence's search rounds (a
 :class:`~retrans.decoder.BeamMemo`), so under a model that declares its
 look-ahead a retranslation redoes only the rounds whose source context or
 bias target changed since the last one: with one-word feeds, three rounds
-a word while the translation only grows.  :func:`display_event` masks the
-live tail and stamps the event.  The mask only changes what is shown,
-never what is decoded, so one decoded session serves every mask length:
-``sweep`` decodes each (bias weight, document) pair once and displays it
-under each of its mask lengths.
+a word while the translation only grows.  :func:`display_text` masks the
+live tail and :func:`event_time` stamps the event.  The mask only changes
+what is shown, never what is decoded, so one decoded session serves every
+mask length: ``sweep`` decodes each (bias weight, document) pair once and
+displays it under each of its mask lengths.
 
 The timed transcript is read from JSONL (:func:`load_transcript`) or from
 caption cues (:func:`load_captions`).
@@ -151,7 +151,7 @@ def split_sentences(tokens: Sequence[str]) -> tuple[list[list[str]], bool]:
 
 @dataclass(frozen=True, slots=True)
 class SessionState:
-    """What the next :func:`advance` reads, and what :func:`display_event`
+    """What the next :func:`advance` reads, and what :func:`display_text`
     shows.
 
     ``live`` holds the words of the incomplete last sentence (empty once it
@@ -235,18 +235,16 @@ def advance(
     return SessionState(live, new_tokens[-1].time, source_text, frozen_text, previous_unmasked, memo)
 
 
-def display_event(state: SessionState, mask_length: int, delay: float = 0.0) -> Event:
-    """What the viewer sees after ``state``'s last feed: the frozen
-    translations and the live translation with its last ``mask_length``
-    tokens held back, stamped at the last fed token's time plus ``delay``,
-    rounded to the millisecond as :func:`save_event_log` writes it, so a
-    saved and reloaded log equals the one in memory."""
-    return Event(float(format_seconds(state.last_time + delay)), state.source_text, display_text(state, mask_length))
+def event_time(state: SessionState, delay: float) -> float:
+    """The time of the event after ``state``'s last feed: the last fed time
+    plus ``delay``, to the millisecond :func:`~retrans.eventlog.save_event_log`
+    writes, so a saved and reloaded log equals the one in memory."""
+    return float(format_seconds(state.last_time + delay))
 
 
 def display_text(state: SessionState, mask_length: int) -> str:
-    """The display of :func:`display_event`: the frozen translations, then the
-    live translation without its last ``mask_length`` tokens."""
+    """What the viewer sees after ``state``'s last feed: the frozen
+    translations, then the live one without its last ``mask_length`` tokens."""
     live = mask_tail(state.previous_unmasked, mask_length)
     return state.frozen_text + " ".join(live) if live else state.frozen_text[:-1]
 
@@ -259,10 +257,10 @@ def step(
     delay: float = 0.0,
 ) -> tuple[SessionState, Event]:
     """Feed freshly recognized tokens, retranslate (:func:`advance`) and
-    show the result under ``config.mask_length`` (:func:`display_event`).
-    Returns the new state and the logged event."""
+    show the result under ``config.mask_length`` (:func:`display_text`) at
+    :func:`event_time`.  Returns the new state and the logged event."""
     state = advance(state, new_tokens, model, config)
-    return state, display_event(state, config.mask_length, delay)
+    return state, Event(event_time(state, delay), state.source_text, display_text(state, config.mask_length))
 
 
 def run_simulation(

@@ -10,7 +10,7 @@ and its pieces pooled for :mod:`bleu_oracle`, so neither the live
 segmenter, nor the per-document memo of final translations, nor pooled BLEU
 statistics are trusted either.  Lag comes from :mod:`latency_oracle` and
 erasure from :mod:`erasure_oracle`, so the display fold is not trusted, and
-the source check is spelled out here.  Slow (|k| times the decoding), but
+the repeat and source checks are spelled out here.  Slow (|k| times the decoding), but
 obviously right.
 """
 
@@ -63,6 +63,11 @@ def sweep(
         raise ValueError("sweep needs at least one document")
     if not bias_weights or not mask_lengths:
         raise ValueError("sweep needs at least one bias weight and one mask length")
+    for what, grid in (("bias weight", bias_weights), ("mask length", mask_lengths)):
+        for later in range(len(grid)):
+            for earlier in range(later):
+                if grid[earlier] == grid[later]:
+                    raise ValueError(f"sweep grid repeats the {what} {grid[later]!r}")
     for name, transcript, reference in documents:
         words = [tok.token for tok in transcript.tokens]
         check_source(name, words, reference)

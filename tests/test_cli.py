@@ -27,7 +27,7 @@ from retrans import (
     save_event_log,
 )
 from retrans.align import mwer_segment
-from retrans.cli import _parse_grid_floats, _parse_grid_ints, _parse_ne_ceiling, main
+from retrans.cli import _parse_grid, _parse_ne_ceiling, main
 from retrans.decoder import EOS_TOKEN
 from retrans.eventlog import tokenize
 from retrans.grid import SweepRow, pareto_subset, save_sweep_rows, sweep
@@ -266,6 +266,21 @@ def test_sweep_rejects_a_bad_setting_before_decoding(toy_model, toy_documents, b
     assert model.searches == 0
 
 
+@pytest.mark.parametrize(
+    "betas, ks, message",
+    [
+        ([0.0, 0.5, 0.0], [2], "the bias weight 0.0"),
+        ([0.5, 0, -0.0], [2], "the bias weight -0.0"),  # == decides, so 0 and -0.0 repeat
+        ([0.5], [2, 2], "the mask length 2"),
+    ],
+)
+def test_sweep_rejects_a_repeated_grid_value_before_decoding(toy_model, toy_documents, betas, ks, message):
+    model = CountingModel(toy_model)
+    with pytest.raises(ValueError, match=f"^sweep grid repeats {re.escape(message)}$"):
+        sweep(model, toy_documents, betas, ks, beam_size=2)
+    assert model.searches == 0
+
+
 class FailingModel:
     def next_distribution(self, source, source_complete, prefix):
         raise ValueError("no distribution")
@@ -328,8 +343,9 @@ def test_sweep_matches_the_per_setting_sweep(
     # Picked toy documents run under the toy model, whose revisions make the
     # bias target decide what is shown; with no pick the random corpus runs.
     # k = 50 holds back more tokens than any translation in either has, and
-    # grids may repeat a value.  Both sweeps fail at the same bias weight or
-    # not at all, but may name another first failing k and document in it.
+    # grids may repeat a value, which both sweeps reject.  Both sweeps fail
+    # at the same bias weight or not at all, but may name another first
+    # failing k and document in it.
     model, documents = random_corpus
     if toy_picks:
         model, documents = toy_model, [toy_documents[index] for index in toy_picks]
@@ -400,12 +416,12 @@ def test_sweep_segments_each_toy_document_at_most_once_per_bias_weight(monkeypat
 
 
 def test_grid_parsers():
-    assert _parse_grid_floats("0,0.5,1") == [0.0, 0.5, 1.0]
-    assert _parse_grid_ints("0,2,10") == [0, 2, 10]
-    with pytest.raises(ValueError):
-        _parse_grid_floats(",")
-    with pytest.raises(ValueError):
-        _parse_grid_ints("1.5")
+    assert _parse_grid(float, "0,0.5,1") == [0.0, 0.5, 1.0]
+    assert _parse_grid(int, "0,2,10") == [0, 2, 10]
+    with pytest.raises(argparse.ArgumentTypeError, match="^expected a comma-separated list of numbers, got ','$"):
+        _parse_grid(float, ",")
+    with pytest.raises(argparse.ArgumentTypeError, match="^expected a comma-separated list of integers, got '1.5'$"):
+        _parse_grid(int, "1.5")
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +696,40 @@ def test_ne_ceiling_parser():
     assert _parse_ne_ceiling("0") == 0.0
     assert _parse_ne_ceiling("0.25") == 0.25
     assert _parse_ne_ceiling("inf") == math.inf
-    for bad in ("nan", "-inf", "-1e-9"):
+    for bad in ("nan", "-inf", "-1e-9", "abc"):
         with pytest.raises(argparse.ArgumentTypeError, match="expected a number >= 0"):
             _parse_ne_ceiling(bad)
+
+
+def _toy_sweep_argv(out, betas, ks):
+    return [
+        "sweep",
+        "--model", str(TOY_DIR / "model.tsv"),
+        "--transcripts", str(TOY_DIR / "transcripts"),
+        "--references", str(TOY_DIR / "references"),
+        "--betas", betas,
+        "--ks", ks,
+        "--beam", "2",
+        "--out", str(out),
+    ]
+
+
+def test_sweep_command_names_the_option_of_a_bad_grid_list(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(_toy_sweep_argv(out, "0", "1.5"))
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --ks: expected a comma-separated list of integers, got '1.5'" in err
+    assert "_parse_grid" not in err
+    assert not out.exists()
+
+
+def test_sweep_command_rejects_a_repeated_grid_value(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(_toy_sweep_argv(out, "0,0", "2,2")) == 1
+    assert capsys.readouterr().err == "error: sweep grid repeats the bias weight 0.0\n"
+    assert not out.exists() and not out.with_suffix(".pareto.csv").exists()
 
 
 def test_usage_errors_exit_with_argparse_code():

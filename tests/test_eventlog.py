@@ -96,7 +96,8 @@ def test_eventlog_constructor_checks_invariants():
 def test_append_keeps_what_the_validating_constructor_keeps(records):
     # Small clocks and texts make repeats and regressions common.  Folding
     # append_event must keep the events the validating fold keeps, and fail
-    # at the same event with the same message.
+    # at the same event with the same message, which the constructor also
+    # raises for the kept events followed by that one.
     events = [Event(tenths / 10.0, src, out) for tenths, src, out in records]
     log, oracle_log = EventLog(), EventLog()
     kept = []
@@ -106,6 +107,9 @@ def test_append_keeps_what_the_validating_constructor_keeps(records):
         except ValueError as exc:
             with pytest.raises(ValueError) as excinfo:
                 append_event(log, event)
+            assert str(excinfo.value) == str(exc)
+            with pytest.raises(ValueError) as excinfo:
+                EventLog(tuple(kept) + (event,))
             assert str(excinfo.value) == str(exc)
             break
         log = append_event(log, event)

@@ -25,7 +25,7 @@ from retrans import (
     save_transcript,
     sweep,
 )
-from retrans.metrics import erasure, normalized_erasure
+from retrans.metrics import erasure, evaluate_all, finalization, normalized_erasure
 from retrans.pipeline import SessionState, split_sentences, step
 
 
@@ -401,6 +401,43 @@ def test_no_event_erases_more_under_a_longer_mask(model, words, bias_weight, bea
     for shorter, longer in zip(erased, erased[1:]):
         assert len(longer) == len(shorter)
         assert all(b <= a for a, b in zip(shorter, longer)), (shorter, longer)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=knob_models(targets=_KNOB_TARGETS + (EOS_TOKEN,)),
+    words=_KNOB_WORDS,
+    bias_weight=_KNOB_WEIGHTS,
+    beam_size=st.integers(min_value=1, max_value=4),
+    chunk_size=st.integers(min_value=1, max_value=3),
+)
+def test_no_final_token_finalizes_earlier_under_a_longer_mask(model, words, bias_weight, beam_size, chunk_size):
+    """For a fixed bias weight, beam and chunk, if the final display is the
+    same under k and k + 1, no final token's finalization index is earlier
+    under k + 1, so translation lag does not fall.
+
+    Proof.  What is decoded does not depend on k, and the display under
+    k + 1 is a token prefix of the display under k at the same event (the
+    mask holds back one more live token, or the same ones).  Let token i
+    finalize at event f > 1 under k.  At event f - 1 it is absent or
+    different under k, so under k + 1 the prefix there lacks it or holds
+    the same different token; the final token is the same under both, so
+    under k + 1 token i finalizes at f or later.  Every feed changes the
+    source, so both logs hold one event per feed, at the same times; a
+    later or equal index gives a later or equal time, and each lag is that
+    time less the same spoken time, read from the same final display."""
+    transcript = _timed(words)
+    reference = ReferenceDocument((ReferenceSegment(transcript.tokens, "X Y W"),))
+    logs = [run_simulation(transcript, model, DecoderConfig(beam_size, bias_weight, k), chunk_size) for k in _MASKS]
+    for shorter, longer in zip(logs, logs[1:]):
+        assert [event.time for event in longer] == [event.time for event in shorter]
+        if longer.events[-1].output_text != shorter.events[-1].output_text:
+            continue
+        before, after = finalization(shorter), finalization(longer)
+        assert len(after) == len(before)
+        assert all(a >= b for b, a in zip(before, after)), (before, after)
+        if before:
+            assert evaluate_all(longer, reference).translation_lag >= evaluate_all(shorter, reference).translation_lag
 
 
 @settings(max_examples=100, deadline=None)
