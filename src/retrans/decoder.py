@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Mapping, Protocol, Sequence
 
-from .eventlog import tokenize, utf8_file
+from .eventlog import read_lines, tokenize
 
 EOS_TOKEN = "</s>"
 END_OF_SOURCE = "⟨END⟩"  # context marker: the source sentence ends here
@@ -137,31 +137,28 @@ def load_table_model(path: str | Path) -> TableModel:
     entry without the ``∗`` fallback for that word.
     """
     table: dict[tuple[str, str], dict[str, float]] = {}
-    with utf8_file(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 4 tab-separated columns, got {len(parts)}"
-                )
-            word, context, target, prob_text = parts
-            if any(tokenize(token) != [token] for token in (word, context, target)):
-                raise ValueError(f"{path}: line {lineno}: every token must be non-empty and whitespace-free")
-            try:
-                prob = float(prob_text)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad probability {prob_text!r}") from None
-            if not 0.0 < prob <= 1.0:
-                raise ValueError(f"{path}: line {lineno}: probability must be in (0, 1]")
-            dist = table.setdefault((word, context), {})
-            if target in dist:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate row for ({word!r}, {context!r}, {target!r})"
-                )
-            dist[target] = prob
+
+    def read_line(line: str) -> None:
+        if line.lstrip().startswith("#"):
+            return
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ValueError(f"expected 4 tab-separated columns, got {len(parts)}")
+        word, context, target, prob_text = parts
+        if any(tokenize(token) != [token] for token in (word, context, target)):
+            raise ValueError("every token must be non-empty and whitespace-free")
+        try:
+            prob = float(prob_text)
+        except ValueError:
+            raise ValueError(f"bad probability {prob_text!r}") from None
+        if not 0.0 < prob <= 1.0:
+            raise ValueError("probability must be in (0, 1]")
+        dist = table.setdefault((word, context), {})
+        if target in dist:
+            raise ValueError(f"duplicate row for ({word!r}, {context!r}, {target!r})")
+        dist[target] = prob
+
+    read_lines(path, read_line)
     try:
         return TableModel(table)
     except ValueError as exc:

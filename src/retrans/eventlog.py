@@ -9,6 +9,8 @@ and "out", ordered by time, whose texts escape only ``"``, ``\\`` and U+0000 to 
 
 Timestamps are seconds.  Text is compared token-wise everywhere in this
 package, and :func:`tokenize` is the one tokenizer all modules share.
+Every input file is read through :func:`read_lines`, which names the file
+and line of a bad one, and every JSONL line through :func:`json_object`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, Iterator, TextIO
+from typing import IO, Callable, Iterator
 
 
 def tokenize(text: str) -> list[str]:
@@ -95,26 +97,6 @@ class EventLog:
         return self.events[index]
 
 
-def is_json_number(value: object) -> bool:
-    """Whether a decoded JSON value is a number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-@contextmanager
-def utf8_file(path: str | Path) -> Iterator[TextIO]:
-    """Open a UTF-8 text file to read; bytes that are not UTF-8 raise ``ValueError`` naming the line."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            yield handle
-    except UnicodeDecodeError:  # only a file that failed is read again, to find the line
-        for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: not valid UTF-8: {exc}") from None
-        raise
-
-
 @contextmanager
 def replacing_file(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Open a new file beside ``path`` to write, as bytes or as UTF-8 text
@@ -132,42 +114,59 @@ def replacing_file(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-def jsonl_records(path: str | Path, *keys: str) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line of a JSONL
-    file.  A line that is not JSON, not an object with exactly ``keys``, or
-    holding a lone surrogate raises ``ValueError`` naming the file and line."""
-    wanted = set(keys)
-    with utf8_file(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: not valid JSON: {exc}") from None
-            if not isinstance(record, dict) or set(record) != wanted:
-                expected = ", ".join(f'"{key}"' for key in keys)
-                raise ValueError(f"{path}: line {lineno}: expected an object with keys {expected}")
-            if "\\" in line:  # JSON spells a surrogate only as an escape
-                for key, value in record.items():
-                    found = re.search("[\ud800-\udfff]", json.dumps(value, ensure_ascii=False))
-                    if found:
-                        raise ValueError(f'{path}: line {lineno}: "{key}" holds the lone surrogate {found.group()!r}')
-            yield lineno, record
+def read_lines(path: str | Path, read_line: Callable[[str], object]) -> None:
+    """Pass each line of the UTF-8 file ``path`` that holds more than whitespace
+    to ``read_line``, without its ``\\n``.  A ``ValueError`` from ``read_line``,
+    or bytes that are not UTF-8, raise ``ValueError`` naming the file and line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            for lineno, raw in enumerate(handle, 1):
+                if not raw.isspace():
+                    read_line(raw.rstrip("\n"))
+        except ValueError as exc:
+            error = str(exc)
+            if isinstance(exc, UnicodeDecodeError):  # only a file that failed is read again, to find the line
+                for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+                    try:
+                        raw.decode("utf-8")
+                    except UnicodeDecodeError as bad:
+                        error = f"not valid UTF-8: {bad}"
+                        break
+            raise ValueError(f"{path}: line {lineno}: {error}") from None
 
 
-def parse_timed_token(item: dict, path: str | Path, lineno: int) -> TimedToken:
-    """Build a :class:`TimedToken` from a decoded ``{"w", "time"}`` object
-    read from line ``lineno`` of ``path``, which errors name."""
-    if not isinstance(item["w"], str):
-        raise ValueError(f'{path}: line {lineno}: "w" must be a string')
-    if not is_json_number(item["time"]):
-        raise ValueError(f'{path}: line {lineno}: "time" must be a number')
+_JSON = json.JSONDecoder(parse_int=lambda digits: float(digits) + 0.0)  # + 0.0: -0 reads as 0.0, which saves as "0.0"
+
+
+def json_object(line: str, *keys: str) -> dict:
+    """Decode one JSONL line, which must be an object with exactly ``keys``
+    and no lone surrogate.  Every number decodes as a float, so an integer
+    too large for one decodes as inf, as the literal 1e400 does."""
+    line = line.strip()
     try:
-        return TimedToken(item["w"], float(item["time"]))
-    except ValueError as exc:
-        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if line.startswith("\ufeff"):  # json.loads's own check, which the decoder skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        record = _JSON.decode(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+    if not isinstance(record, dict) or set(record) != set(keys):
+        expected = ", ".join(f'"{key}"' for key in keys)
+        raise ValueError(f"expected an object with keys {expected}")
+    if "\\" in line:  # JSON spells a surrogate only as an escape
+        for key, value in record.items():
+            found = re.search("[\ud800-\udfff]", json.dumps(value, ensure_ascii=False))
+            if found:
+                raise ValueError(f'"{key}" holds the lone surrogate {found.group()!r}')
+    return record
+
+
+def parse_timed_token(item: dict) -> TimedToken:
+    """Build a :class:`TimedToken` from a decoded ``{"w", "time"}`` object."""
+    if not isinstance(item["w"], str):
+        raise ValueError('"w" must be a string')
+    if not isinstance(item["time"], float):
+        raise ValueError('"time" must be a number')
+    return TimedToken(item["w"], item["time"])
 
 
 def _is_change(last: Event | None, event: Event) -> bool:
@@ -237,15 +236,16 @@ def load_event_log(path: str | Path) -> EventLog:
     long as the input was itself in canonical form.
     """
     events: list[Event] = []
-    for lineno, record in jsonl_records(path, "t", "src", "out"):
-        if not is_json_number(record["t"]):
-            raise ValueError(f"{path}: line {lineno}: \"t\" must be a number")
+
+    def read_line(line: str) -> None:
+        record = json_object(line, "t", "src", "out")
+        if not isinstance(record["t"], float):
+            raise ValueError('"t" must be a number')
         if not isinstance(record["src"], str) or not isinstance(record["out"], str):
-            raise ValueError(f"{path}: line {lineno}: \"src\" and \"out\" must be strings")
-        try:
-            event = Event(float(record["t"]), record["src"], record["out"])
-            if _is_change(events[-1] if events else None, event):
-                events.append(event)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            raise ValueError('"src" and "out" must be strings')
+        event = Event(record["t"], record["src"], record["out"])
+        if _is_change(events[-1] if events else None, event):
+            events.append(event)
+
+    read_lines(path, read_line)
     return EventLog(tuple(events))

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
-from .eventlog import EventLog, TimedToken, jsonl_records, parse_timed_token, replacing_file, tokenize
+from .eventlog import EventLog, TimedToken, json_object, parse_timed_token, read_lines, replacing_file, tokenize
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,22 +94,24 @@ def check_source(words: list[str], what: str, reference: ReferenceDocument, of: 
 def load_reference_document(path: str | Path) -> ReferenceDocument:
     segments: list[ReferenceSegment] = []
     last_time = 0.0
-    for lineno, record in jsonl_records(path, "src", "ref"):
+
+    def read_line(line: str) -> None:
+        nonlocal last_time
+        record = json_object(line, "src", "ref")
         if not isinstance(record["src"], list) or not isinstance(record["ref"], str):
-            raise ValueError(f'{path}: line {lineno}: "src" must be a list and "ref" a string')
+            raise ValueError('"src" must be a list and "ref" a string')
         tokens = []
         for item in record["src"]:
             if not isinstance(item, dict) or set(item) != {"w", "time"}:
-                raise ValueError(f'{path}: line {lineno}: source entries need exactly the keys "w", "time"')
-            token = parse_timed_token(item, path, lineno)
+                raise ValueError('source entries need exactly the keys "w", "time"')
+            token = parse_timed_token(item)
             if token.time < last_time:
-                raise ValueError(f"{path}: line {lineno}: source token times must be non-decreasing")
+                raise ValueError("source token times must be non-decreasing")
             last_time = token.time
             tokens.append(token)
-        try:
-            segments.append(ReferenceSegment(tuple(tokens), record["ref"]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        segments.append(ReferenceSegment(tuple(tokens), record["ref"]))
+
+    read_lines(path, read_line)
     try:
         return ReferenceDocument(tuple(segments))
     except ValueError as exc:

@@ -45,11 +45,11 @@ from .eventlog import (
     TimedToken,
     append_event,
     format_seconds,
-    jsonl_records,
+    json_object,
     parse_timed_token,
+    read_lines,
     replacing_file,
     tokenize,
-    utf8_file,
 )
 
 _SENTENCE_FINAL = (".", "!", "?")
@@ -82,12 +82,15 @@ def save_transcript(transcript: TimedTranscript, path: str | Path) -> None:
 
 
 def load_transcript(path: str | Path) -> TimedTranscript:
-    tokens = []
-    for lineno, record in jsonl_records(path, "w", "time"):
-        token = parse_timed_token(record, path, lineno)
+    tokens: list[TimedToken] = []
+
+    def read_line(line: str) -> None:
+        token = parse_timed_token(json_object(line, "w", "time"))
         if tokens and token.time < tokens[-1].time:
-            raise ValueError(f"{path}: line {lineno}: transcript times must be non-decreasing")
+            raise ValueError("transcript times must be non-decreasing")
         tokens.append(token)
+
+    read_lines(path, read_line)
     return TimedTranscript(tuple(tokens))
 
 
@@ -103,32 +106,25 @@ def load_captions(path: str | Path) -> TimedTranscript:
     """
     tokens: list[TimedToken] = []
     last_end = 0.0
-    with utf8_file(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t", 2)
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated columns")
-            try:
-                start, end = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad cue times") from None
-            if not 0.0 <= start < end < math.inf:  # also false for nan
-                raise ValueError(
-                    f"{path}: line {lineno}: cue window must satisfy 0 <= start < end < inf, "
-                    f"got [{start!r}, {end!r})"
-                )
-            if start < last_end:
-                raise ValueError(
-                    f"{path}: line {lineno}: cue starting at {start!r} overlaps or precedes "
-                    f"the cue ending at {last_end!r}"
-                )
-            words = tokenize(parts[2])
-            for m, word in enumerate(words):
-                tokens.append(TimedToken(word, start + (m / len(words)) * (end - start)))
-            last_end = end
+
+    def read_line(line: str) -> None:
+        nonlocal last_end
+        parts = line.split("\t", 2)
+        if len(parts) != 3:
+            raise ValueError("expected 3 tab-separated columns")
+        try:
+            start, end = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError("bad cue times") from None
+        if not 0.0 <= start < end < math.inf:  # also false for nan
+            raise ValueError(f"cue window must satisfy 0 <= start < end < inf, got [{start!r}, {end!r})")
+        if start < last_end:
+            raise ValueError(f"cue starting at {start!r} overlaps or precedes the cue ending at {last_end!r}")
+        words = tokenize(parts[2])
+        tokens.extend(TimedToken(word, start + (m / len(words)) * (end - start)) for m, word in enumerate(words))
+        last_end = end
+
+    read_lines(path, read_line)
     return TimedTranscript(tuple(tokens))
 
 

@@ -655,6 +655,15 @@ def test_simulate_rejects_a_lone_surrogate_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_rejects_an_integer_time_too_large_for_a_float(tmp_path, capsys):
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text('{"w": "die", "time": 1' + "0" * 400 + "}\n", encoding="utf-8")
+    out = tmp_path / "events.jsonl"
+    assert main(_simulate_argv(transcript, out)) == 1
+    assert capsys.readouterr().err == f"error: {transcript}: line 1: token time must be finite and >= 0, got inf\n"
+    assert not out.exists()
+
+
 def test_simulate_keeps_an_escaped_surrogate_pair(tmp_path):
     transcript = tmp_path / "t.jsonl"
     transcript.write_text(

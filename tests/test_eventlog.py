@@ -303,6 +303,90 @@ def test_readers_name_the_file_and_line_of_invalid_utf8(tmp_path, reader, first_
         reader(path)
 
 
+_MODEL_ROW = "a\t∗\tx\t0.5"
+_CUE = "0.0\t2.0\ta"
+_WORD = '{"w": "a", "time": 1.0}'
+_SEGMENT = '{"src": [{"w": "a", "time": 1.0}], "ref": "x"}'
+_EVENT = '{"t": 1.0, "src": "a", "out": "x"}'
+
+# (reader, good lines, bad line, message of the bad line)
+_LINE_ERRORS = {
+    "model-columns": (load_table_model, [_MODEL_ROW], "b\t∗\tx", "expected 4 tab-separated columns, got 3"),
+    "model-token": (load_table_model, [_MODEL_ROW], "b\t∗\tx y\t1.0", "every token must be non-empty and whitespace-free"),
+    "model-probability": (load_table_model, [_MODEL_ROW], "b\t∗\tx\thalf", "bad probability 'half'"),
+    "model-range": (load_table_model, [_MODEL_ROW], "b\t∗\tx\t1.5", "probability must be in (0, 1]"),
+    "model-duplicate": (load_table_model, [_MODEL_ROW], _MODEL_ROW, "duplicate row for ('a', '∗', 'x')"),
+    "captions-columns": (load_captions, [_CUE], "2.0\t3.0", "expected 3 tab-separated columns"),
+    "captions-times": (load_captions, [_CUE], "two\t3.0\tb", "bad cue times"),
+    "captions-window": (load_captions, [_CUE], "3.0\t3.0\tb", "cue window must satisfy 0 <= start < end < inf, got [3.0, 3.0)"),
+    "captions-overlap": (load_captions, [_CUE], "1.5\t3.0\tb", "cue starting at 1.5 overlaps or precedes the cue ending at 2.0"),
+    "transcript-keys": (load_transcript, [_WORD], '{"w": "b"}', 'expected an object with keys "w", "time"'),
+    "transcript-w": (load_transcript, [_WORD], '{"w": 2.0, "time": 2.0}', '"w" must be a string'),
+    "transcript-time": (load_transcript, [_WORD], '{"w": "b", "time": "2.0"}', '"time" must be a number'),
+    "transcript-bool-time": (load_transcript, [_WORD], '{"w": "b", "time": true}', '"time" must be a number'),
+    "transcript-order": (load_transcript, [_WORD], '{"w": "b", "time": 0.5}', "transcript times must be non-decreasing"),
+    "reference-shape": (load_reference_document, [_SEGMENT], '{"src": {}, "ref": "y"}', '"src" must be a list and "ref" a string'),
+    "reference-entry-keys": (
+        load_reference_document, [_SEGMENT], '{"src": [{"w": "b"}], "ref": "y"}', 'source entries need exactly the keys "w", "time"'
+    ),
+    "reference-order": (
+        load_reference_document, [_SEGMENT], '{"src": [{"w": "b", "time": 0.5}], "ref": "y"}', "source token times must be non-decreasing"
+    ),
+    "reference-empty-segment": (
+        load_reference_document, [_SEGMENT], '{"src": [], "ref": "y"}', "a reference segment needs at least one source token"
+    ),
+    "event-log-json": (
+        load_event_log, [_EVENT], '  {"t": 2.0,', "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 11 (char 10)"
+    ),
+    "event-log-bom": (
+        load_event_log, [_EVENT], '\ufeff{"t": 2.0, "src": "b", "out": "y"}', "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    ),
+    "event-log-t": (load_event_log, [_EVENT], '{"t": "2.0", "src": "b", "out": "y"}', '"t" must be a number'),
+    "event-log-strings": (load_event_log, [_EVENT], '{"t": 2.0, "src": "b", "out": 1.0}', '"src" and "out" must be strings'),
+    "event-log-clock": (load_event_log, [_EVENT], '{"t": 0.5, "src": "b", "out": "y"}', "event time 0.5 precedes the last logged time 1.0"),
+}
+
+
+@pytest.mark.parametrize("reader, good, bad, message", list(_LINE_ERRORS.values()), ids=list(_LINE_ERRORS))
+def test_readers_name_the_file_and_line_of_each_bad_line(tmp_path, reader, good, bad, message):
+    # The blank line before the bad one is skipped but still counted.
+    path = tmp_path / "input"
+    path.write_text("\n".join(good) + "\n   \n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        reader(path)
+    assert str(excinfo.value) == f"{path}: line {len(good) + 2}: {message}"
+
+
+@pytest.mark.parametrize("zeros", [400, 5000])
+@pytest.mark.parametrize(
+    "reader, line, message",
+    [
+        (load_transcript, '{"w": "a", "time": TIME}', "token time must be finite and >= 0, got inf"),
+        (load_reference_document, '{"src": [{"w": "a", "time": TIME}], "ref": "x"}', "token time must be finite and >= 0, got inf"),
+        (load_event_log, '{"t": TIME, "src": "a", "out": "x"}', "event time must be finite and >= 0, got inf"),
+    ],
+    ids=["transcript", "reference", "event_log"],
+)
+def test_an_integer_time_too_large_for_a_float_reads_as_inf(tmp_path, reader, line, message, zeros):
+    # 1e400 overflows a float, and 5000 digits pass the limit on int() of a
+    # string; both read as inf, as the literal 1e400 does.
+    path = tmp_path / "input"
+    path.write_text("\n" + line.replace("TIME", "1" + "0" * zeros) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        reader(path)
+    assert str(excinfo.value) == f"{path}: line 2: {message}"
+
+
+def test_an_integer_time_reads_as_the_float_it_rounds_to(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"w": "a", "time": -0}\n{"w": "b", "time": 3}\n{"w": "c", "time": 9007199254740993}\n', encoding="utf-8")
+    times = [token.time for token in load_transcript(path).tokens]
+    assert times == [0.0, 3.0, float(9007199254740993)]
+    assert all(type(time) is float for time in times)
+    save_transcript(load_transcript(path), path)
+    assert path.read_text(encoding="utf-8").startswith('{"w": "a", "time": 0.0}\n{"w": "b", "time": 3.0}\n')
+
+
 
 class _Unwritable:
     def __repr__(self):
