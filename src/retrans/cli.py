@@ -73,7 +73,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     reference = load_reference_document(args.reference)
     spoken = tokenize(log.events[-1].source_text) if log.events else []
     check_source(spoken, f"{args.events}: the final source", reference, f"the source of {args.reference}")
-    report = evaluate_all(log, reference, mode=args.correspondence)
+    report = evaluate_all(log, reference)
     save_report(report, args.out)
     return 0
 
@@ -131,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="score one session log against its reference")
     evaluate.add_argument("--events", required=True, help="event log JSONL")
     evaluate.add_argument("--reference", required=True, help="reference document JSONL")
-    evaluate.add_argument(
-        "--correspondence",
-        choices=("segment", "document"),
-        default="segment",
-        help="how output tokens map back to source positions (default: segment)",
-    )
     evaluate.add_argument("--out", required=True, help="report JSON to write")
     evaluate.set_defaults(handler=_cmd_evaluate)
 

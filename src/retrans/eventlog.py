@@ -15,6 +15,7 @@ and line of a bad one, and every JSONL line through :func:`json_object`.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
@@ -117,9 +118,15 @@ def replacing_file(path: str | Path, binary: bool = False) -> Iterator[IO]:
 def read_lines(path: str | Path, read_line: Callable[[str], object]) -> None:
     """Pass each line of the UTF-8 file ``path`` that holds more than whitespace
     to ``read_line``, without its ``\\n``.  A ``ValueError`` from ``read_line``,
-    or bytes that are not UTF-8, raise ``ValueError`` naming the file and line."""
+    bytes that are not UTF-8, or a byte order mark at the start of the file
+    raise ``ValueError`` naming the file and line."""
+    lineno = 1
     with open(path, "r", encoding="utf-8") as handle:
         try:
+            # Kept, a mark would read as part of the first word or value.  peek
+            # looks at the first bytes without consuming them.
+            if handle.buffer.peek(3).startswith(codecs.BOM_UTF8):
+                raise ValueError("starts with a UTF-8 byte order mark; save the file without one")
             for lineno, raw in enumerate(handle, 1):
                 if not raw.isspace():
                     read_line(raw.rstrip("\n"))
@@ -135,7 +142,7 @@ def read_lines(path: str | Path, read_line: Callable[[str], object]) -> None:
             raise ValueError(f"{path}: line {lineno}: {error}") from None
 
 
-_JSON = json.JSONDecoder(parse_int=lambda digits: float(digits) + 0.0)  # + 0.0: -0 reads as 0.0, which saves as "0.0"
+_JSON = json.JSONDecoder(parse_int=float)
 
 
 def json_object(line: str, *keys: str) -> dict:
@@ -166,7 +173,7 @@ def parse_timed_token(item: dict) -> TimedToken:
         raise ValueError('"w" must be a string')
     if not isinstance(item["time"], float):
         raise ValueError('"time" must be a number')
-    return TimedToken(item["w"], item["time"])
+    return TimedToken(item["w"], item["time"] + 0.0)  # + 0.0: -0 and -0.0 read as 0.0, which saves as "0.0"
 
 
 def _is_change(last: Event | None, event: Event) -> bool:
@@ -243,7 +250,7 @@ def load_event_log(path: str | Path) -> EventLog:
             raise ValueError('"t" must be a number')
         if not isinstance(record["src"], str) or not isinstance(record["out"], str):
             raise ValueError('"src" and "out" must be strings')
-        event = Event(record["t"], record["src"], record["out"])
+        event = Event(record["t"] + 0.0, record["src"], record["out"])  # + 0.0 as in parse_timed_token
         if _is_change(events[-1] if events else None, event):
             events.append(event)
 

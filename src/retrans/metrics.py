@@ -200,35 +200,20 @@ def finalization(log: EventLog) -> tuple[int, ...]:
     return tuple(DisplayFold(event.output_text for event in log).changed)
 
 
-def correspondence(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> tuple[float, ...]:
+def correspondence(log: EventLog, doc: ReferenceDocument) -> tuple[float, ...]:
     """For each token of the final translation, by position, the (possibly
     fractional) 0-based source position it corresponds to, counted across
     the whole document.
 
-    In the default "segment" mode the final translation is first split
-    against the reference segments (same segmentation that scoring uses);
-    a token at offset ``d`` inside an output segment of length ``n`` points
-    at offset ``d * source_len / n`` inside the paired source segment,
-    clamped to that segment.
-
-    Mode "document" is a diagnostic alternative that skips segmentation and
-    scales positions document-wide: token ``j`` of the final output points
-    at ``j * |final source| / |final output|``.  It is kept for comparison
-    only; positions are clamped to the timed source range.
+    The final translation is first split against the reference segments
+    (the same segmentation that scoring uses); a token at offset ``d``
+    inside an output segment of length ``n`` points at offset
+    ``d * source_len / n`` inside the paired source segment, clamped to
+    that segment.
     """
     if not log.events:
         raise ValueError("correspondence needs at least one event")
-    final = log.events[-1]
-    if mode == "segment":
-        return Scorer(doc).final(final.output_text)[1]
-    if mode != "document":
-        raise ValueError(f'correspondence mode must be "segment" or "document", got {mode!r}')
-    hyp = tokenize(final.output_text)
-    source_len = len(tokenize(final.source_text))
-    if hyp and source_len == 0:
-        raise ValueError("document mode needs a non-empty final source")
-    last = float(min(source_len, len(doc.source_times())) - 1)
-    return tuple(min(max(j * source_len / len(hyp), 0.0), last) for j in range(len(hyp)))
+    return Scorer(doc).final(log.events[-1].output_text)[1]
 
 
 def spoken_times(positions: Sequence[float], times: Sequence[float]) -> list[float]:
@@ -243,7 +228,7 @@ def spoken_times(positions: Sequence[float], times: Sequence[float]) -> list[flo
     return spoken
 
 
-def token_lags(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> list[float]:
+def token_lags(log: EventLog, doc: ReferenceDocument) -> list[float]:
     """Per-token lag: finalization time minus the spoken time of the
     corresponding source position.
 
@@ -251,7 +236,7 @@ def token_lags(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> 
     neighbouring token times.  Lags may be negative when the display
     commits to a token before its source words are fully spoken.
     """
-    return list(evaluate_all(log, doc, mode).per_token_lag)
+    return list(evaluate_all(log, doc).per_token_lag)
 
 
 def lags_at(changed: Sequence[int], event_times: Sequence[float], spoken: Sequence[float]) -> list[float]:
@@ -344,7 +329,7 @@ class Scorer:
 
     def final(self, text: str) -> tuple[list[int], tuple[float, ...], list[float]]:
         """The :func:`bleu_statistics` of a final translation, and per token
-        its segment-mode :func:`correspondence` and its :func:`spoken_times`."""
+        its :func:`correspondence` and its :func:`spoken_times`."""
         if text not in self.finals:
             hyp = tokenize(text)
             pieces = split_by_boundaries(hyp, mwer_segment(hyp, self.refs).boundaries)
@@ -385,19 +370,12 @@ class Tally:
         self.lags: list[float] = []
         self.erased: list[int] = []
 
-    def add(
-        self,
-        fold: DisplayFold,
-        event_times: Sequence[float],
-        scorer: Scorer,
-        spoken: Sequence[float] | None = None,
-    ) -> None:
+    def add(self, fold: DisplayFold, event_times: Sequence[float], scorer: Scorer) -> None:
         """Add one session: its displays folded, the time of each of its
         events, and the scorer of its reference.  Its final display is
-        scored through ``scorer``, whose segmentation also places the lags,
-        unless ``spoken`` gives each final token's spoken time instead."""
-        statistics, _, segment_spoken = scorer.final(fold.display)
-        lags = lags_at(fold.changed, event_times, segment_spoken if spoken is None else spoken)
+        scored through ``scorer``, whose segmentation also places the lags."""
+        statistics, _, spoken = scorer.final(fold.display)
+        lags = lags_at(fold.changed, event_times, spoken)
         self.statistics = [pooled + more for pooled, more in zip(self.statistics, statistics)]
         self.ref_len += scorer.ref_len
         self.lags += lags
@@ -417,14 +395,14 @@ def evaluate_all(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -
     """Evaluate one session end to end, as a :class:`Tally` of one: its
     displays are folded once for lag and erasure, and its final translation
     is segmented once for BLEU and for the lag's source positions
-    (:class:`Scorer`); "document" mode takes those positions from
-    :func:`correspondence` instead."""
+    (:class:`Scorer`).  ``mode`` names that one correspondence and takes no
+    other value."""
+    if mode != "segment":
+        raise ValueError(f'correspondence mode must be "segment", got {mode!r}')
     if not log.events:
         raise ValueError("lag needs at least one event")
-    scorer = Scorer(doc)
-    spoken = None if mode == "segment" else spoken_times(correspondence(log, doc, mode=mode), scorer.times)
     tally = Tally()
-    tally.add(DisplayFold(event.output_text for event in log), [event.time for event in log], scorer, spoken)
+    tally.add(DisplayFold(event.output_text for event in log), [event.time for event in log], Scorer(doc))
     return tally.report()
 
 

@@ -3,7 +3,7 @@ sequences :mod:`retrans.metrics` computes lag from.
 
 Finalization returns each final token's event index and time, and
 correspondence returns one six-field record per final token, of which lag
-reads only the source position.  Both modes fill the records as they did.
+reads only the source position.
 """
 
 from __future__ import annotations
@@ -56,28 +56,10 @@ class CorrespondenceMap:
     tokens: tuple[TokenCorrespondence, ...]
 
 
-def correspondence(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> CorrespondenceMap:
+def correspondence(log: EventLog, doc: ReferenceDocument) -> CorrespondenceMap:
     if not log.events:
         raise ValueError("correspondence needs at least one event")
-    final = log.events[-1]
-    hyp = tokenize(final.output_text)
-
-    if mode == "document":
-        source_len = len(tokenize(final.source_text))
-        timed_len = len(doc.source_times())
-        if hyp and source_len == 0:
-            raise ValueError("document mode needs a non-empty final source")
-        records = []
-        for j in range(len(hyp)):
-            position = j * source_len / len(hyp)
-            position = min(max(position, 0.0), float(min(source_len, timed_len) - 1))
-            records.append(
-                TokenCorrespondence(-1, 0, len(hyp), 0, source_len, position)
-            )
-        return CorrespondenceMap(tuple(records))
-    if mode != "segment":
-        raise ValueError(f'correspondence mode must be "segment" or "document", got {mode!r}')
-
+    hyp = tokenize(log.events[-1].output_text)
     refs = doc.reference_token_segments()
     pieces = split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries)
     source_lens = [len(seg.source_tokens) for seg in doc.segments]
@@ -107,13 +89,13 @@ def _time_at(times: Sequence[float], position: float) -> float:
     return times[base] * (1.0 - frac) + times[base + 1] * frac
 
 
-def token_lags(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -> list[float]:
+def token_lags(log: EventLog, doc: ReferenceDocument) -> list[float]:
     if not log.events:
         raise ValueError("lag needs at least one event")
     if not tokenize(log.events[-1].output_text):
         raise ValueError("lag is undefined for an empty final translation")
     fin = finalization(log)
-    cmap = correspondence(log, doc, mode=mode)
+    cmap = correspondence(log, doc)
     times = doc.source_times()
     return [
         fin.times[j] - _time_at(times, record.source_position)

@@ -465,26 +465,24 @@ def test_simulate_command_matches_library_call(tmp_path, toy_model):
     assert out.read_bytes() == expected.read_bytes()
 
 
-def test_evaluate_command_in_both_correspondence_modes(tmp_path, toy_model, toy_documents):
+def test_evaluate_command_matches_library_call(tmp_path, toy_model, toy_documents):
     name, transcript, reference = toy_documents[0]
     events = tmp_path / "events.jsonl"
     config = DecoderConfig(beam_size=2, mask_length=1)
     save_event_log(run_simulation(transcript, toy_model, config), events)
-    for mode in ("segment", "document"):
-        out = tmp_path / f"report-{mode}.json"
-        code = main(
-            [
-                "evaluate",
-                "--events", str(events),
-                "--reference", str(TOY_DIR / "references" / name),
-                "--correspondence", mode,
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        expected = tmp_path / f"expected-{mode}.json"
-        save_report(evaluate_all(load_event_log(events), reference, mode=mode), expected)
-        assert out.read_bytes() == expected.read_bytes()
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "evaluate",
+            "--events", str(events),
+            "--reference", str(TOY_DIR / "references" / name),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    expected = tmp_path / "expected.json"
+    save_report(evaluate_all(load_event_log(events), reference), expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_evaluate_command_rejects_a_log_of_another_document(tmp_path, toy_model, capsys):

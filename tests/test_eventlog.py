@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
@@ -378,13 +379,45 @@ def test_an_integer_time_too_large_for_a_float_reads_as_inf(tmp_path, reader, li
 
 
 def test_an_integer_time_reads_as_the_float_it_rounds_to(tmp_path):
+    # -0.0 reads as 0.0 too, so every zero saves as "0.0".
     path = tmp_path / "t.jsonl"
-    path.write_text('{"w": "a", "time": -0}\n{"w": "b", "time": 3}\n{"w": "c", "time": 9007199254740993}\n', encoding="utf-8")
+    path.write_text(
+        '{"w": "a", "time": -0}\n{"w": "z", "time": -0.0}\n{"w": "b", "time": 3}\n{"w": "c", "time": 9007199254740993}\n',
+        encoding="utf-8",
+    )
     times = [token.time for token in load_transcript(path).tokens]
-    assert times == [0.0, 3.0, float(9007199254740993)]
-    assert all(type(time) is float for time in times)
+    assert times == [0.0, 0.0, 3.0, float(9007199254740993)]
+    assert all(type(time) is float and math.copysign(1.0, time) == 1.0 for time in times)
     save_transcript(load_transcript(path), path)
-    assert path.read_text(encoding="utf-8").startswith('{"w": "a", "time": 0.0}\n{"w": "b", "time": 3.0}\n')
+    assert path.read_text(encoding="utf-8").startswith('{"w": "a", "time": 0.0}\n{"w": "z", "time": 0.0}\n{"w": "b", "time": 3.0}\n')
+    events = tmp_path / "e.jsonl"
+    events.write_text('{"t": -0.0, "src": "a", "out": "x"}\n{"t": -0, "src": "a b", "out": "x"}\n{"t": 3, "src": "a b c", "out": "x"}\n', encoding="utf-8")
+    assert [event.time for event in load_event_log(events)] == [0.0, 0.0, 3.0]
+    save_event_log(load_event_log(events), events)
+    assert events.read_text(encoding="utf-8").startswith('{"t": 0.0, "src": "a", "out": "x"}\n{"t": 0.0, "src": "a b", "out": "x"}\n{"t": 3.0,')
+
+
+@pytest.mark.parametrize(
+    "reader, first_line",
+    [
+        (load_transcript, _WORD),
+        (load_reference_document, _SEGMENT),
+        (load_event_log, _EVENT),
+        (load_table_model, "a\t∗\tx\t1.0"),
+        (load_captions, _CUE),
+    ],
+    ids=["transcript", "reference", "event_log", "table_model", "captions"],
+)
+def test_readers_reject_a_byte_order_mark_on_line_1(tmp_path, reader, first_line):
+    # Kept, the mark would become part of the first word or value: a model
+    # row whose source word never matches, or cue times that fail to parse.
+    path = tmp_path / "input"
+    path.write_text("\ufeff" + first_line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        reader(path)
+    assert str(excinfo.value) == f"{path}: line 1: starts with a UTF-8 byte order mark; save the file without one"
+    path.write_text(first_line + "\n", encoding="utf-8")
+    reader(path)
 
 
 

@@ -232,17 +232,11 @@ def test_correspondence_respects_segment_starts():
     assert correspondence(log, doc) == (0.0, 1.0, 2.0, 3.0)
 
 
-def test_correspondence_document_mode_ignores_segments():
-    doc = make_document(([1.0, 2.0], "w x"), ([3.0, 4.0], "y z"))
-    log = build_log((5.0, "s0 s1 s2 s3", "w x"))
-    # segment mode would put both tokens in the first segment: (0.0, 1.0)
-    assert correspondence(log, doc, mode="document") == (0.0, 2.0)
-
-
 def test_correspondence_rejects_unknown_mode(session_log):
+    # Lag has one correspondence: the retired mode's name must not score silently.
     doc = make_document(([1.0], "x"))
-    with pytest.raises(ValueError):
-        correspondence(session_log, doc, mode="both")
+    with pytest.raises(ValueError, match=r'^correspondence mode must be "segment", got \'document\'$'):
+        evaluate_all(session_log, doc, mode="document")
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +285,7 @@ def scored_sessions(draw):
     """A multi-segment document and a session over it.  Outputs may be
     shorter than the segment count (empty pieces) or longer than a
     segment's source (positions clamp to the segment end), and the final
-    source may be shorter or longer than the timed one (document mode
-    clamps too)."""
+    source may be shorter or longer than the timed one."""
     times = iter(sorted(draw(st.lists(st.integers(0, 60), min_size=4, max_size=16))))
     segments = []
     for _ in range(draw(st.integers(1, 4))):
@@ -310,11 +303,11 @@ def scored_sessions(draw):
     return log, doc
 
 
-def _oracle_report(log: EventLog, doc: ReferenceDocument, mode: str) -> MetricsReport:
+def _oracle_report(log: EventLog, doc: ReferenceDocument) -> MetricsReport:
     """The report of a session from the oracles alone: record-based lag,
     tokenizing erasure, and recounting BLEU over the pieces the full-table
     segmenter cuts."""
-    lags = latency_oracle.token_lags(log, doc, mode=mode)
+    lags = latency_oracle.token_lags(log, doc)
     erased = tokenizing_erasure(log)
     hyp = tokenize(log.events[-1].output_text)
     refs = [tokenize(segment.reference_text) for segment in doc.segments]
@@ -330,39 +323,34 @@ def _oracle_report(log: EventLog, doc: ReferenceDocument, mode: str) -> MetricsR
 
 
 @settings(max_examples=300, deadline=None)
-@given(session=scored_sessions(), mode=st.sampled_from(["segment", "document"]))
+@given(session=scored_sessions())
 # two output tokens over three segments: an empty piece
-@example(
-    session=(build_log((5.0, "s0 s1 s2", "p q")), make_document(([1.0], "p"), ([2.0], "q"), ([3.0], "r"))),
-    mode="segment",
-)
+@example(session=(build_log((5.0, "s0 s1 s2", "p q")), make_document(([1.0], "p"), ([2.0], "q"), ([3.0], "r"))))
 # four output tokens over a two-token source: the last clamps to its end
-@example(
-    session=(build_log((5.0, "s0 s1", "p q r s")), make_document(([1.0, 2.0], "p q r s"))), mode="segment"
-)
-def test_lag_matches_the_record_oracle(session, mode):
+@example(session=(build_log((5.0, "s0 s1", "p q r s")), make_document(([1.0, 2.0], "p q r s"))))
+def test_lag_matches_the_record_oracle(session):
     log, doc = session
     oracle_fin = latency_oracle.finalization(log)
     assert finalization(log) == oracle_fin.event_indices
     try:
-        expected_report = _oracle_report(log, doc, mode)
+        expected_report = _oracle_report(log, doc)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            evaluate_all(log, doc, mode)
+            evaluate_all(log, doc)
     else:
-        assert evaluate_all(log, doc, mode) == expected_report
+        assert evaluate_all(log, doc) == expected_report
     try:
-        expected = latency_oracle.correspondence(log, doc, mode=mode)
+        expected = latency_oracle.correspondence(log, doc)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            correspondence(log, doc, mode=mode)
+            correspondence(log, doc)
         return
-    assert correspondence(log, doc, mode=mode) == tuple(r.source_position for r in expected.tokens)
+    assert correspondence(log, doc) == tuple(r.source_position for r in expected.tokens)
     if not tokenize(log.events[-1].output_text):
         with pytest.raises(ValueError, match="empty final translation"):
-            token_lags(log, doc, mode=mode)
+            token_lags(log, doc)
         return
-    assert token_lags(log, doc, mode=mode) == latency_oracle.token_lags(log, doc, mode=mode)
+    assert token_lags(log, doc) == latency_oracle.token_lags(log, doc)
 
 
 # ---------------------------------------------------------------------------
