@@ -34,7 +34,7 @@ print("tokens erased per event:", erasure(log))
 print("normalized erasure:     ", normalized_erasure(log))
 
 # finalization gives, per final token, the 1-based event it settled at
-print("finalization times:     ", [log.events[i - 1].time for i in finalization(log)])
+print("finalization times:     ", [log[i - 1].time for i in finalization(log)])
 print("(the first two output tokens were stable from the start; everything")
 print(" after them only settled once the correction landed)")
 print()

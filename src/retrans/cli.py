@@ -71,7 +71,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     log = load_event_log(args.events)
     reference = load_reference_document(args.reference)
-    spoken = tokenize(log.events[-1].source_text) if log.events else []
+    spoken = tokenize(log[-1].source_text) if log else []
     check_source(spoken, f"{args.events}: the final source", reference, f"the source of {args.reference}")
     report = evaluate_all(log, reference)
     save_report(report, args.out)

@@ -6,6 +6,8 @@ texts is appended together with the wall-clock time of the change.  The log
 is the single input to every downstream metric, so the on-disk format is
 kept deliberately small: UTF-8 JSON, one object per line with keys "t", "src"
 and "out", ordered by time, whose texts escape only ``"``, ``\\`` and U+0000 to U+001F.
+In memory a log keeps only what each event adds to the last one
+(:meth:`EventLog.changes`), so it grows with the talk, not with the file.
 
 Timestamps are seconds.  Text is compared token-wise everywhere in this
 package, and :func:`tokenize` is the one tokenizer all modules share.
@@ -23,9 +25,10 @@ import re
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 
 def tokenize(text: str) -> list[str]:
@@ -73,39 +76,114 @@ class Event:
         return (self.source_text, self.output_text)
 
 
-@dataclass(frozen=True, slots=True)
+def common_prefix_length(a: str, b: str) -> int:
+    """The length of the longest common prefix of ``a`` and ``b``.  A binary
+    search that compares only the part not yet known to be shared, so it
+    copies about one text's worth of characters, at C speed."""
+    if b.startswith(a):
+        return len(a)
+    known, bound = 0, min(len(a), len(b))  # a[:known] == b[:known], and the prefix ends by bound
+    while known < bound:
+        middle = (known + bound + 1) // 2
+        if b.startswith(a[known:middle], known):
+            known = middle
+        else:
+            bound = middle - 1
+    return known
+
+
 class EventLog:
     """An ordered, change-only sequence of :class:`Event` snapshots.
 
     Invariants: timestamps never decrease, and consecutive events differ in
     their (source, output) state: each event extends the one before it as
     in :func:`append_event`, which drops a repeat instead of raising.
+
+    A log stores what each event adds (see :meth:`changes`), so its size
+    grows with what its events add, not with their whole texts.  Events are
+    rebuilt on request: ``log[-1]`` at once, iteration one event at a time,
+    and ``log[i]`` from the tails that still show in it.  Logs grown by
+    :func:`append_event` share one append-only store.
     """
 
-    events: tuple[Event, ...] = ()
+    __slots__ = ("_changes", "_size", "_last")
 
-    def __post_init__(self) -> None:
-        if not all(map(_is_change, self.events, self.events[1:])):
-            raise ValueError("consecutive events must differ in source or output")
+    def __init__(self, events: Iterable[Event] = ()) -> None:
+        changes: list[tuple[float, int, str, int, str]] = []
+        last = None
+        for event in events:
+            change = _change(last, event)
+            if change is None:
+                raise ValueError("consecutive events must differ in source or output")
+            changes.append(change)
+            last = event
+        self._changes, self._size, self._last = changes, len(changes), last
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._size
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
+        source = output = ""
+        for time, source_cut, source_tail, output_cut, output_tail in self.changes():
+            source = source[:source_cut] + source_tail
+            output = output[:output_cut] + output_tail
+            yield Event(time, source, output)
 
     def __getitem__(self, index: int) -> Event:
-        return self.events[index]
+        position = index + self._size if index < 0 else index
+        if not 0 <= position < self._size:
+            raise IndexError("event index out of range")
+        if position == self._size - 1:
+            return self._last
+        changes = self._changes[position::-1]  # walking back, each text is rebuilt from the tails still shown
+        return Event(changes[0][0], _rebuilt(changes, 1), _rebuilt(changes, 3))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        # Each change holds the longest prefix its texts share with the last
+        # ones, so equal events are equal changes.
+        return self._size == other._size and list(self.changes()) == list(other.changes())
+
+    def __repr__(self) -> str:
+        return f"EventLog(events={self.events!r})"
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """Every event, each with its whole texts."""
+        return tuple(self)
+
+    def changes(self) -> Iterator[tuple[float, int, str, int, str]]:
+        """What each event adds, in order: its time and, for the source and
+        then the output, how many characters of the last event's text it
+        keeps (all they share, zero at the first event) and the text after
+        them."""
+        return islice(self._changes, self._size)
+
+
+def _rebuilt(changes: list, side: int) -> str:
+    """The text on ``side`` (1 for source, 3 for output) of the event whose
+    change comes first in ``changes``, which run backward from it: each
+    earlier change shows up to where the later ones cut."""
+    pieces = []
+    end = changes[0][side] + len(changes[0][side + 1])
+    for change in changes:
+        if change[side] < end:
+            pieces.append(change[side + 1][:end - change[side]])
+            end = change[side]
+    return "".join(reversed(pieces))
 
 
 @contextmanager
 def replacing_file(path: str | Path, binary: bool = False) -> Iterator[IO]:
-    """Open a new file beside ``path`` to write, as bytes or as UTF-8 text
-    with ``\\n`` line ends.  When the block ends, the new file replaces
-    ``path`` in one step; if the block raises, the new file is removed.  So
-    ``path`` holds either its old content or all of the new one."""
+    """Open a new file beside ``path`` to write, as bytes through a 1 MiB
+    buffer or as UTF-8 text with ``\\n`` line ends.  When the block ends,
+    the new file replaces ``path`` in one step; if the block raises, the new
+    file is removed.  So ``path`` holds either its old content or all of the
+    new one."""
     temp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
-    handle = open(temp, "xb") if binary else open(temp, "x", encoding="utf-8", newline="\n")
+    # The default 8 KiB buffer would make a write call per few lines of a long event log.
+    handle = open(temp, "xb", 1 << 20) if binary else open(temp, "x", encoding="utf-8", newline="\n")
     try:
         with handle:
             yield handle
@@ -176,15 +254,19 @@ def parse_timed_token(item: dict) -> TimedToken:
     return TimedToken(item["w"], item["time"] + 0.0)  # + 0.0: -0 and -0.0 read as 0.0, which saves as "0.0"
 
 
-def _is_change(last: Event | None, event: Event) -> bool:
-    """Whether ``event`` extends a log ending in ``last``: false for a
-    repeat of the last (source, output) state; a clock regression raises
-    ``ValueError``."""
+def _change(last: Event | None, event: Event) -> tuple[float, int, str, int, str] | None:
+    """What ``event`` adds to a log ending in ``last``, as :meth:`EventLog.changes`
+    gives it, or None if it repeats the last (source, output) state; a clock
+    regression raises ``ValueError``."""
     if last is None:
-        return True
+        return (event.time, 0, event.source_text, 0, event.output_text)
     if event.time < last.time:
         raise ValueError(f"event time {event.time!r} precedes the last logged time {last.time!r}")
-    return event.state() != last.state()
+    if event.state() == last.state():
+        return None
+    source_cut = common_prefix_length(last.source_text, event.source_text)
+    output_cut = common_prefix_length(last.output_text, event.output_text)
+    return (event.time, source_cut, event.source_text[source_cut:], output_cut, event.output_text[output_cut:])
 
 
 def append_event(log: EventLog, event: Event) -> EventLog:
@@ -193,14 +275,19 @@ def append_event(log: EventLog, event: Event) -> EventLog:
     The log records change only: an event repeating the last (source,
     output) state is dropped and ``log`` itself is returned.  A timestamp
     earlier than the last one signals a corrupted session and raises
-    ``ValueError``.
+    ``ValueError``.  Appending to the newest log of a store costs what the
+    event's texts cost to compare with the last ones; appending to an older
+    one first copies its own changes into a store of its own.
     """
-    if not _is_change(log.events[-1] if log.events else None, event):
+    change = _change(log._last, event)
+    if change is None:
         return log
-    # ``log`` holds the invariants and ``event`` was checked against its
-    # last event: validating the whole prefix again would make replay quadratic.
+    changes = log._changes
+    if len(changes) > log._size:  # a later log already grew this store
+        changes = changes[:log._size]
+    changes.append(change)
     grown = object.__new__(EventLog)
-    object.__setattr__(grown, "events", log.events + (event,))
+    grown._changes, grown._size, grown._last = changes, len(changes), event
     return grown
 
 
@@ -210,29 +297,57 @@ def format_seconds(value: float) -> str:
     return text + "0" if text.endswith(".") else text
 
 
-def _escaped_body(text: str, last: str, last_body: bytes) -> bytes:
-    """``text`` as an unquoted UTF-8 JSON string.  Escaping and encoding act per
-    character, so a ``text`` that extends ``last`` only appends to ``last_body``."""
-    if text.startswith(last):
-        return last_body + encode_basestring(text[len(last):])[1:-1].encode("utf-8")
+def _escaped(text: str) -> bytes:
+    """``text`` as an unquoted UTF-8 JSON string body, escaped as ``save_event_log`` writes it."""
     return encode_basestring(text)[1:-1].encode("utf-8")
+
+
+class _EscapedText:
+    """One side's text, escaped and encoded, kept up to date one change at a
+    time.  Escaping and encoding act per character, so a text cut after its
+    first ``cut`` characters is its body cut after the bytes of those
+    characters.  ``pieces`` holds, per tail the text is made of, where its
+    characters and its bytes start, to find that byte offset."""
+
+    __slots__ = ("body", "pieces")
+
+    def __init__(self) -> None:
+        self.body = bytearray()
+        self.pieces: list[tuple[int, int, str]] = []
+
+    def change(self, cut: int, tail: str) -> None:
+        pieces = self.pieces
+        end = len(self.body)
+        while pieces and pieces[-1][0] >= cut:
+            end = pieces.pop()[1]
+        if pieces and pieces[-1][0] + len(pieces[-1][2]) > cut:  # the cut falls inside the last piece
+            start, body_start, piece = pieces.pop()
+            piece = piece[:cut - start]
+            pieces.append((start, body_start, piece))
+            end = body_start + len(_escaped(piece))
+        del self.body[end:]
+        if tail:
+            pieces.append((cut, end, tail))
+            self.body += _escaped(tail)
 
 
 def save_event_log(log: EventLog, path: str | Path) -> None:
     """Write ``log`` as JSONL, one event per line, ordered by time: UTF-8 lines
     ``{"t": T, "src": S, "out": O}`` with ``T`` by :func:`format_seconds` and texts as
     ``json.dumps(..., ensure_ascii=False)`` escapes them: only ``"``, ``\\``, U+0000-U+001F.
+    Only what each event adds is escaped and encoded (see :meth:`EventLog.changes`).
     A failed save leaves ``path`` as it was (see :func:`replacing_file`)."""
-    src_body = out_body = b""
-    with replacing_file(path, binary=True) as handle:  # five writes a line: joining copies each snapshot again
-        for last, event in zip((Event(0.0, "", ""),) + log.events, log.events):
-            src_body = _escaped_body(event.source_text, last.source_text, src_body)
-            out_body = _escaped_body(event.output_text, last.output_text, out_body)
-            handle.write(b'{"t": %s, "src": "' % format_seconds(event.time).encode())
-            handle.write(src_body)
-            handle.write(b'", "out": "')
-            handle.write(out_body)
-            handle.write(b'"}\n')
+    source, output = _EscapedText(), _EscapedText()
+    with replacing_file(path, binary=True) as handle:
+        write = handle.write  # five writes a line: joining copies each snapshot again
+        for time, source_cut, source_tail, output_cut, output_tail in log.changes():
+            source.change(source_cut, source_tail)
+            output.change(output_cut, output_tail)
+            write(b'{"t": %s, "src": "' % format_seconds(time).encode())
+            write(source.body)
+            write(b'", "out": "')
+            write(output.body)
+            write(b'"}\n')
 
 
 def load_event_log(path: str | Path) -> EventLog:
@@ -240,19 +355,20 @@ def load_event_log(path: str | Path) -> EventLog:
 
     Each line must be a JSON object with exactly the keys "t", "src" and
     "out".  Saving the result again reproduces the input byte for byte, as
-    long as the input was itself in canonical form.
+    long as the input was itself in canonical form.  Each line is appended
+    as it is read (:func:`append_event`), so only what it adds is kept.
     """
-    events: list[Event] = []
+    log = EventLog()
 
     def read_line(line: str) -> None:
+        nonlocal log
         record = json_object(line, "t", "src", "out")
         if not isinstance(record["t"], float):
             raise ValueError('"t" must be a number')
         if not isinstance(record["src"], str) or not isinstance(record["out"], str):
             raise ValueError('"src" and "out" must be strings')
         event = Event(record["t"] + 0.0, record["src"], record["out"])  # + 0.0 as in parse_timed_token
-        if _is_change(events[-1] if events else None, event):
-            events.append(event)
+        log = append_event(log, event)
 
     read_lines(path, read_line)
-    return EventLog(tuple(events))
+    return log

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
-from .eventlog import EventLog, TimedToken, json_object, parse_timed_token, read_lines, replacing_file, tokenize
+from .eventlog import EventLog, TimedToken, common_prefix_length, json_object, parse_timed_token, read_lines
+from .eventlog import replacing_file, tokenize
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,23 +122,13 @@ def load_reference_document(path: str | Path) -> ReferenceDocument:
 # Stability
 
 
-def _shared_cut(a: str, b: str) -> int:
-    """An offset ``k`` with ``a[:k] == b[:k]`` at which both strings have a
-    token border, so ``tokenize(x) == tokenize(x[:k]) + tokenize(x[k:])``
-    for either: the end of ``a`` when ``b`` goes on from it with a space or
-    not at all, else the last space both share, else 0."""
-    if a == b or b.startswith(a + " "):
-        return len(a)
-    common = bisect_left(range(1, len(a) + 1), True, key=lambda m: not b.startswith(a[:m]))
-    return max(a.rfind(" ", 0, common), 0)
-
-
 class DisplayFold:
     """Erasure and finalization folded one display at a time: ``erased``
     holds the tokens each display retracted from the one before it (or from
     an empty one), and ``changed``, per token of the latest display, the
     1-based index of the display at which the prefix through that token
-    last changed.  Only the two tails past :func:`_shared_cut` are tokenized."""
+    last changed.  Only the two tails past a token border both displays
+    share are tokenized."""
 
     __slots__ = ("display", "erased", "changed")
 
@@ -149,8 +139,19 @@ class DisplayFold:
         for text in displays:
             self.add(text)
 
-    def add(self, text: str) -> None:
-        cut = _shared_cut(self.display, text)
+    def add(self, text: str, common: int | None = None) -> None:
+        """Add the display ``text``; ``common``, when given, is how many
+        characters it shares with the latest one (all they share)."""
+        if common is None:
+            common = common_prefix_length(self.display, text)
+        # A cut where both texts have a token border, so that tokenize(x) ==
+        # tokenize(x[:cut]) + tokenize(x[cut:]) for either: the end of the
+        # latest display when text goes on from it with a space or not at
+        # all, else the last space both share, else 0.
+        if common == len(self.display) and text[common:common + 1] in ("", " "):
+            cut = common
+        else:
+            cut = max(self.display.rfind(" ", 0, common), 0)
         new = tokenize(text[cut:])
         kept = erased = 0
         if cut < len(self.display):  # else the previous display ends at the cut and loses nothing
@@ -173,9 +174,9 @@ def erasure(log: EventLog) -> list[int]:
 
 def normalized_erasure(log: EventLog) -> float:
     """Total erasure per token of final output."""
-    if not log.events:
+    if not log:
         raise ValueError("normalized erasure needs at least one event")
-    final_len = len(tokenize(log.events[-1].output_text))
+    final_len = len(tokenize(log[-1].output_text))
     if final_len == 0:
         raise ValueError("normalized erasure is undefined for an empty final translation")
     return sum(erasure(log)) / final_len
@@ -195,7 +196,7 @@ def finalization(log: EventLog) -> tuple[int, ...]:
     display is compared only with the one before it (:class:`DisplayFold`),
     so the final display need not be known first.
     """
-    if not log.events:
+    if not log:
         raise ValueError("finalization needs at least one event")
     return tuple(DisplayFold(event.output_text for event in log).changed)
 
@@ -211,9 +212,9 @@ def correspondence(log: EventLog, doc: ReferenceDocument) -> tuple[float, ...]:
     ``d * source_len / n`` inside the paired source segment, clamped to
     that segment.
     """
-    if not log.events:
+    if not log:
         raise ValueError("correspondence needs at least one event")
-    return Scorer(doc).final(log.events[-1].output_text)[1]
+    return Scorer(doc).final(log[-1].output_text)[1]
 
 
 def spoken_times(positions: Sequence[float], times: Sequence[float]) -> list[float]:
@@ -303,10 +304,10 @@ def evaluate_quality(log: EventLog, doc: ReferenceDocument) -> float:
     """BLEU of the final translation against the reference, after splitting
     the translation to minimize total edit distance to the reference
     segments."""
-    if not log.events:
+    if not log:
         raise ValueError("quality needs at least one event")
     scorer = Scorer(doc)
-    return bleu_score(scorer.final(log.events[-1].output_text)[0], scorer.ref_len)
+    return bleu_score(scorer.final(log[-1].output_text)[0], scorer.ref_len)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +400,14 @@ def evaluate_all(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -
     other value."""
     if mode != "segment":
         raise ValueError(f'correspondence mode must be "segment", got {mode!r}')
-    if not log.events:
+    if not log:
         raise ValueError("lag needs at least one event")
+    fold, times = DisplayFold(), []
+    for time, _, _, output_cut, output_tail in log.changes():  # one display at a time, from what it changes
+        fold.add(fold.display[:output_cut] + output_tail, output_cut)
+        times.append(time)
     tally = Tally()
-    tally.add(DisplayFold(event.output_text for event in log), [event.time for event in log], Scorer(doc))
+    tally.add(fold, times, Scorer(doc))
     return tally.report()
 
 

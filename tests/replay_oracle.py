@@ -1,10 +1,11 @@
 """The session replay that rebuilds everything on every event, kept as the
 oracle for the running-text replay in :mod:`retrans.pipeline` and the
-prefix-trusting :func:`retrans.eventlog.append_event`.
+store-sharing :func:`retrans.eventlog.append_event`.
 
 Each step re-splits and re-joins every source word and every frozen token,
-and each append builds the grown log through the validating ``EventLog``
-constructor.  Slow (quadratic in the session), but obviously right.  The
+and the events are kept whole, in a plain tuple, from which the validating
+``EventLog`` constructor builds the log at the end.  Slow (quadratic in the
+session), but obviously right.  The
 sentence splitter is its own, so the live-sentence carry of
 :func:`retrans.pipeline.advance` is checked against a whole-prefix split
 that shares no code with it.
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from retrans.decoder import DecoderConfig, ScoringModel, biased_beam_search, mask_tail
-from retrans.eventlog import Event, EventLog, TimedToken, _is_change
+from retrans.eventlog import Event, EventLog, TimedToken
 from retrans.pipeline import TimedTranscript
 
 
@@ -33,10 +34,13 @@ def split_sentences(words: Sequence[str]) -> tuple[list[list[str]], bool]:
     return sentences[:-1], True
 
 
-def append_event(log: EventLog, event: Event) -> EventLog:
-    if not _is_change(log.events[-1] if log.events else None, event):
-        return log
-    return EventLog(log.events + (event,))
+def append_event(events: tuple[Event, ...], event: Event) -> tuple[Event, ...]:
+    """``events`` followed by ``event``, unless it repeats the last state."""
+    if events and event.time < events[-1].time:
+        raise ValueError(f"event time {event.time!r} precedes the last logged time {events[-1].time!r}")
+    if events and event.state() == events[-1].state():
+        return events
+    return events + (event,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,9 +113,9 @@ def run_simulation(
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if delay < 0.0:
         raise ValueError(f"delay must be >= 0, got {delay!r}")
-    log = EventLog()
+    events: tuple[Event, ...] = ()
     state = SessionState()
     for start in range(0, len(transcript.tokens), chunk_size):
         state, event = step(state, transcript.tokens[start:start + chunk_size], model, config, delay)
-        log = append_event(log, event)
-    return log
+        events = append_event(events, event)
+    return EventLog(events)

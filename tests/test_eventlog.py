@@ -100,11 +100,11 @@ def test_append_keeps_what_the_validating_constructor_keeps(records):
     # at the same event with the same message, which the constructor also
     # raises for the kept events followed by that one.
     events = [Event(tenths / 10.0, src, out) for tenths, src, out in records]
-    log, oracle_log = EventLog(), EventLog()
+    log, oracle_events = EventLog(), ()
     kept = []
     for event in events:
         try:
-            oracle_log = replay_oracle.append_event(oracle_log, event)
+            oracle_events = replay_oracle.append_event(oracle_events, event)
         except ValueError as exc:
             with pytest.raises(ValueError) as excinfo:
                 append_event(log, event)
@@ -116,7 +116,7 @@ def test_append_keeps_what_the_validating_constructor_keeps(records):
         log = append_event(log, event)
         if not kept or event.state() != kept[-1].state():
             kept.append(event)
-        assert log == oracle_log == EventLog(tuple(kept))
+        assert log == EventLog(oracle_events) == EventLog(tuple(kept))
     # Passed directly, a tuple with a repeat or a regression still fails.
     bad = any(
         cur.time < prev.time or cur.state() == prev.state() for prev, cur in zip(events, events[1:])
@@ -282,6 +282,51 @@ def test_save_matches_the_whole_snapshot_writer(tmp_path_factory, data):
     eventlog_oracle.save_event_log(log, directory / "oracle.jsonl")
     assert (directory / "log.jsonl").read_bytes() == (directory / "oracle.jsonl").read_bytes()
     assert load_event_log(directory / "log.jsonl") == log
+
+
+def _assert_holds(log: EventLog, events: tuple[Event, ...]) -> None:
+    assert len(log) == len(events)
+    assert bool(log) == bool(events)
+    assert list(log) == list(events)
+    assert log.events == events
+    assert log == EventLog(events)
+    assert [log[i] for i in range(len(events))] == list(events)
+    assert [log[i - len(events)] for i in range(len(events))] == list(events)
+    for index in (len(events), -len(events) - 1):
+        with pytest.raises(IndexError):
+            log[index]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_logs_sharing_a_store_hold_the_events_appended(tmp_path_factory, data):
+    # Logs grown from one another share one store.  Appending to an older log
+    # after a newer one exists must leave every log holding exactly its own
+    # events, as a plain tuple of whole events does.
+    pairs = [(EventLog(), ())]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=14))):
+        log, events = pairs[data.draw(st.sampled_from([-1, -1, 0, len(pairs) // 2]))]
+        last = events[-1] if events else Event(0.0, "", "")
+        seconds = data.draw(st.integers(min_value=-500, max_value=2500)) / 1000.0
+        source, output = data.draw(_next_text(last.source_text)), data.draw(_next_text(last.output_text))
+        event = Event(max(round(last.time + seconds, 3), 0.0), source, output)
+        try:
+            events = replay_oracle.append_event(events, event)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                append_event(log, event)
+            continue
+        pairs.append((append_event(log, event), events))
+        for log, events in pairs:
+            _assert_holds(log, events)
+    for (log, events), (other, other_events) in zip(pairs, pairs[1:]):
+        assert (log == other) == (events == other_events)
+    directory = tmp_path_factory.mktemp("logs")
+    for log, events in pairs[-3:]:
+        save_event_log(log, directory / "log.jsonl")
+        eventlog_oracle.save_event_log(EventLog(events), directory / "oracle.jsonl")
+        assert (directory / "log.jsonl").read_bytes() == (directory / "oracle.jsonl").read_bytes()
+        assert load_event_log(directory / "log.jsonl") == log
 
 
 @pytest.mark.parametrize(
