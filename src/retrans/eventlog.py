@@ -101,9 +101,9 @@ class EventLog:
 
     A log stores what each event adds (see :meth:`changes`), so its size
     grows with what its events add, not with their whole texts.  Events are
-    rebuilt on request: ``log[-1]`` at once, iteration one event at a time,
-    and ``log[i]`` from the tails that still show in it.  Logs grown by
-    :func:`append_event` share one append-only store.
+    rebuilt on request: ``log[-1]`` at once, iteration and ``log[i]`` one
+    event at a time from the first.  Logs grown by :func:`append_event`
+    share one append-only store.
     """
 
     __slots__ = ("_changes", "_size", "_last")
@@ -135,8 +135,7 @@ class EventLog:
             raise IndexError("event index out of range")
         if position == self._size - 1:
             return self._last
-        changes = self._changes[position::-1]  # walking back, each text is rebuilt from the tails still shown
-        return Event(changes[0][0], _rebuilt(changes, 1), _rebuilt(changes, 3))
+        return next(islice(self, position, None))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventLog):
@@ -159,19 +158,6 @@ class EventLog:
         keeps (all they share, zero at the first event) and the text after
         them."""
         return islice(self._changes, self._size)
-
-
-def _rebuilt(changes: list, side: int) -> str:
-    """The text on ``side`` (1 for source, 3 for output) of the event whose
-    change comes first in ``changes``, which run backward from it: each
-    earlier change shows up to where the later ones cut."""
-    pieces = []
-    end = changes[0][side] + len(changes[0][side + 1])
-    for change in changes:
-        if change[side] < end:
-            pieces.append(change[side + 1][:end - change[side]])
-            end = change[side]
-    return "".join(reversed(pieces))
 
 
 @contextmanager
@@ -297,57 +283,33 @@ def format_seconds(value: float) -> str:
     return text + "0" if text.endswith(".") else text
 
 
-def _escaped(text: str) -> bytes:
-    """``text`` as an unquoted UTF-8 JSON string body, escaped as ``save_event_log`` writes it."""
-    return encode_basestring(text)[1:-1].encode("utf-8")
-
-
-class _EscapedText:
-    """One side's text, escaped and encoded, kept up to date one change at a
-    time.  Escaping and encoding act per character, so a text cut after its
-    first ``cut`` characters is its body cut after the bytes of those
-    characters.  ``pieces`` holds, per tail the text is made of, where its
-    characters and its bytes start, to find that byte offset."""
-
-    __slots__ = ("body", "pieces")
-
-    def __init__(self) -> None:
-        self.body = bytearray()
-        self.pieces: list[tuple[int, int, str]] = []
-
-    def change(self, cut: int, tail: str) -> None:
-        pieces = self.pieces
-        end = len(self.body)
-        while pieces and pieces[-1][0] >= cut:
-            end = pieces.pop()[1]
-        if pieces and pieces[-1][0] + len(pieces[-1][2]) > cut:  # the cut falls inside the last piece
-            start, body_start, piece = pieces.pop()
-            piece = piece[:cut - start]
-            pieces.append((start, body_start, piece))
-            end = body_start + len(_escaped(piece))
-        del self.body[end:]
-        if tail:
-            pieces.append((cut, end, tail))
-            self.body += _escaped(tail)
+def _escaped_body(text: str, cut: int, tail: str, body: bytes) -> tuple[str, bytes]:
+    """``text`` cut after ``cut`` characters and extended by ``tail``, and that
+    text as an unquoted UTF-8 JSON string, where ``body`` is ``text``'s.  Escaping
+    and encoding act per character, so a ``tail`` that extends all of ``text``
+    only appends to ``body``."""
+    if cut == len(text):
+        return text + tail, body + encode_basestring(tail)[1:-1].encode("utf-8")
+    text = text[:cut] + tail
+    return text, encode_basestring(text)[1:-1].encode("utf-8")
 
 
 def save_event_log(log: EventLog, path: str | Path) -> None:
     """Write ``log`` as JSONL, one event per line, ordered by time: UTF-8 lines
     ``{"t": T, "src": S, "out": O}`` with ``T`` by :func:`format_seconds` and texts as
     ``json.dumps(..., ensure_ascii=False)`` escapes them: only ``"``, ``\\``, U+0000-U+001F.
-    Only what each event adds is escaped and encoded (see :meth:`EventLog.changes`).
     A failed save leaves ``path`` as it was (see :func:`replacing_file`)."""
-    source, output = _EscapedText(), _EscapedText()
-    with replacing_file(path, binary=True) as handle:
-        write = handle.write  # five writes a line: joining copies each snapshot again
+    source = output = ""
+    src_body = out_body = b""
+    with replacing_file(path, binary=True) as handle:  # five writes a line: joining copies each snapshot again
         for time, source_cut, source_tail, output_cut, output_tail in log.changes():
-            source.change(source_cut, source_tail)
-            output.change(output_cut, output_tail)
-            write(b'{"t": %s, "src": "' % format_seconds(time).encode())
-            write(source.body)
-            write(b'", "out": "')
-            write(output.body)
-            write(b'"}\n')
+            source, src_body = _escaped_body(source, source_cut, source_tail, src_body)
+            output, out_body = _escaped_body(output, output_cut, output_tail, out_body)
+            handle.write(b'{"t": %s, "src": "' % format_seconds(time).encode())
+            handle.write(src_body)
+            handle.write(b'", "out": "')
+            handle.write(out_body)
+            handle.write(b'"}\n')
 
 
 def load_event_log(path: str | Path) -> EventLog:

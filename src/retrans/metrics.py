@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
 from .eventlog import EventLog, TimedToken, common_prefix_length, json_object, parse_timed_token, read_lines
@@ -132,18 +132,13 @@ class DisplayFold:
 
     __slots__ = ("display", "erased", "changed")
 
-    def __init__(self, displays: Iterable[str] = ()) -> None:
+    def __init__(self) -> None:
         self.display = ""
         self.erased: list[int] = []
         self.changed: list[int] = []
-        for text in displays:
-            self.add(text)
 
-    def add(self, text: str, common: int | None = None) -> None:
-        """Add the display ``text``; ``common``, when given, is how many
-        characters it shares with the latest one (all they share)."""
-        if common is None:
-            common = common_prefix_length(self.display, text)
+    def add(self, text: str) -> None:
+        common = common_prefix_length(self.display, text)
         # A cut where both texts have a token border, so that tokenize(x) ==
         # tokenize(x[:cut]) + tokenize(x[cut:]) for either: the end of the
         # latest display when text goes on from it with a space or not at
@@ -164,12 +159,20 @@ class DisplayFold:
         self.display = text
 
 
+def _fold(log: EventLog) -> DisplayFold:
+    """The displays of ``log`` folded one at a time, each rebuilt from what it changes."""
+    fold = DisplayFold()
+    for _, _, _, output_cut, output_tail in log.changes():
+        fold.add(fold.display[:output_cut] + output_tail)
+    return fold
+
+
 def erasure(log: EventLog) -> list[int]:
     """Tokens retracted at each event: the length of the previous display
     minus the common prefix kept by the new one.  The first event is
     compared against an empty display, so its erasure is always zero.
     Only the text past the two displays' shared prefix is tokenized."""
-    return DisplayFold(event.output_text for event in log).erased
+    return _fold(log).erased
 
 
 def normalized_erasure(log: EventLog) -> float:
@@ -198,7 +201,7 @@ def finalization(log: EventLog) -> tuple[int, ...]:
     """
     if not log:
         raise ValueError("finalization needs at least one event")
-    return tuple(DisplayFold(event.output_text for event in log).changed)
+    return tuple(_fold(log).changed)
 
 
 def correspondence(log: EventLog, doc: ReferenceDocument) -> tuple[float, ...]:
@@ -402,12 +405,8 @@ def evaluate_all(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -
         raise ValueError(f'correspondence mode must be "segment", got {mode!r}')
     if not log:
         raise ValueError("lag needs at least one event")
-    fold, times = DisplayFold(), []
-    for time, _, _, output_cut, output_tail in log.changes():  # one display at a time, from what it changes
-        fold.add(fold.display[:output_cut] + output_tail, output_cut)
-        times.append(time)
     tally = Tally()
-    tally.add(fold, times, Scorer(doc))
+    tally.add(_fold(log), [change[0] for change in log.changes()], Scorer(doc))
     return tally.report()
 
 

@@ -82,8 +82,6 @@ def save_transcript(transcript: TimedTranscript, path: str | Path) -> None:
 
 
 def load_transcript(path: str | Path) -> TimedTranscript:
-    """Read a JSONL transcript, checking each token's time against the last
-    one's as its line is read, so that the error names the line."""
     tokens: list[TimedToken] = []
 
     def read_line(line: str) -> None:
@@ -93,9 +91,7 @@ def load_transcript(path: str | Path) -> TimedTranscript:
         tokens.append(token)
 
     read_lines(path, read_line)
-    transcript = object.__new__(TimedTranscript)  # checked line by line: the constructor would check every pair again
-    object.__setattr__(transcript, "tokens", tuple(tokens))
-    return transcript
+    return TimedTranscript(tuple(tokens))
 
 
 def load_captions(path: str | Path) -> TimedTranscript:

@@ -25,9 +25,9 @@ class FinalizationMap:
 
 
 def finalization(log: EventLog) -> FinalizationMap:
-    if not log.events:
+    if not log:
         raise ValueError("finalization needs at least one event")
-    final_tokens = tokenize(log.events[-1].output_text)
+    final_tokens = tokenize(log[-1].output_text)
     agree = [common_prefix_len(tokenize(event.output_text), final_tokens) for event in log]
     for i in range(len(agree) - 2, -1, -1):
         agree[i] = min(agree[i], agree[i + 1])
@@ -37,7 +37,8 @@ def finalization(log: EventLog) -> FinalizationMap:
         while agree[event] < position:
             event += 1
         indices.append(event + 1)
-    times = tuple(log.events[i - 1].time for i in indices)
+    events = log.events
+    times = tuple(events[i - 1].time for i in indices)
     return FinalizationMap(tuple(indices), times)
 
 
@@ -57,9 +58,9 @@ class CorrespondenceMap:
 
 
 def correspondence(log: EventLog, doc: ReferenceDocument) -> CorrespondenceMap:
-    if not log.events:
+    if not log:
         raise ValueError("correspondence needs at least one event")
-    hyp = tokenize(log.events[-1].output_text)
+    hyp = tokenize(log[-1].output_text)
     refs = doc.reference_token_segments()
     pieces = split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries)
     source_lens = [len(seg.source_tokens) for seg in doc.segments]
@@ -90,9 +91,9 @@ def _time_at(times: Sequence[float], position: float) -> float:
 
 
 def token_lags(log: EventLog, doc: ReferenceDocument) -> list[float]:
-    if not log.events:
+    if not log:
         raise ValueError("lag needs at least one event")
-    if not tokenize(log.events[-1].output_text):
+    if not tokenize(log[-1].output_text):
         raise ValueError("lag is undefined for an empty final translation")
     fin = finalization(log)
     cmap = correspondence(log, doc)

@@ -85,7 +85,7 @@ def sweep(
             for name, transcript, reference in documents:
                 try:
                     log = replay_oracle.run_simulation(transcript, model, config)
-                    hyp = tokenize(log.events[-1].output_text) if log.events else []
+                    hyp = tokenize(log[-1].output_text) if log else []
                     refs = reference.reference_token_segments()
                     pooled_pieces.extend(segment(hyp, refs))
                     pooled_refs.extend(refs)

@@ -68,7 +68,8 @@ def test_worked_example_session_metrics():
         )
         assert erasure(log) == [0, 0, 3]
         assert normalized_erasure(log) == 0.5
-        assert [log.events[i - 1].time for i in finalization(log)] == [2.0, 2.0, 3.5, 4.2, 4.2, 4.2]
+        times = [event.time for event in log]
+        assert [times[i - 1] for i in finalization(log)] == [2.0, 2.0, 3.5, 4.2, 4.2, 4.2]
 
 
 # ---------------------------------------------------------------------------

@@ -369,7 +369,7 @@ def _toy_sessions(toy_model, toy_documents):
         rng.shuffle(order)
         for name, transcript, reference in order:
             config = DecoderConfig(beam_size=4, bias_weight=0.5 * round_, mask_length=2)
-            hyp += tokenize(run_simulation(transcript, toy_model, config).events[-1].output_text)
+            hyp += tokenize(run_simulation(transcript, toy_model, config)[-1].output_text)
             sentences += reference.reference_token_segments()
     return hyp, sentences
 

@@ -398,7 +398,7 @@ def test_sweep_segments_each_distinct_final_translation_once(monkeypatch, tmp_pa
         for bias_weight in betas:
             for mask_length in ks:
                 config = DecoderConfig(beam_size=2, bias_weight=bias_weight, mask_length=mask_length)
-                finals[name].add(tuple(tokenize(run_simulation(transcript, toy_model, config).events[-1].output_text)))
+                finals[name].add(tuple(tokenize(run_simulation(transcript, toy_model, config)[-1].output_text)))
     assert len(finals["news.jsonl"]) > 1
     refs = {name: tuple(map(tuple, reference.reference_token_segments())) for name, _, reference in documents}
     calls = _counting_segmentations(monkeypatch)
@@ -671,8 +671,8 @@ def test_simulate_keeps_an_escaped_surrogate_pair(tmp_path):
     out, again = tmp_path / "events.jsonl", tmp_path / "again.jsonl"
     assert main(_simulate_argv(transcript, out)) == 0
     log = load_event_log(out)
-    assert log.events[-1].source_text == "die \U0001f600. bank"
-    assert "\U0001f600" in log.events[-1].output_text
+    assert log[-1].source_text == "die \U0001f600. bank"
+    assert "\U0001f600" in log[-1].output_text
     save_event_log(log, again)
     eventlog_oracle.save_event_log(log, tmp_path / "oracle.jsonl")
     assert again.read_bytes() == out.read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()

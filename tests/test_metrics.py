@@ -96,7 +96,8 @@ def test_prefix_growing_session_has_zero_erasure():
 def test_finalization_of_worked_session(session_log):
     fin = finalization(session_log)
     assert fin == (1, 1, 2, 3, 3, 3)
-    assert [session_log.events[i - 1].time for i in fin] == [2.0, 2.0, 3.5, 4.2, 4.2, 4.2]
+    events = session_log.events
+    assert [events[i - 1].time for i in fin] == [2.0, 2.0, 3.5, 4.2, 4.2, 4.2]
 
 
 def test_finalization_waits_out_flicker():
@@ -106,7 +107,7 @@ def test_finalization_waits_out_flicker():
 
 
 def _finalization_oracle(log: EventLog) -> list[int]:
-    final = tokenize(log.events[-1].output_text)
+    final = tokenize(log[-1].output_text)
     outputs = [tokenize(event.output_text) for event in log]
     indices = []
     for j in range(1, len(final) + 1):
@@ -126,7 +127,7 @@ def test_finalization_matches_definition_on_random_sessions():
             clock += rng.randint(1, 20) / 10.0
             out = " ".join(rng.choice("pqr") for _ in range(rng.randint(0, 6)))
             log = append_event(log, Event(clock, f"src {step_no}", out))
-        if not log.events:
+        if not log:
             continue
         fin = finalization(log)
         assert list(fin) == _finalization_oracle(log)
@@ -172,10 +173,10 @@ def whitespace_sessions(draw):
 @example(log=build_log((1.0, "a", "a ab"), (2.0, "a b", "a b"), (3.0, "a b c", "a ab")))  # "ab" flickers
 def test_erasure_and_finalization_match_their_tokenizing_oracles(log):
     # The fold holds the finalization of every prefix of the log, not just of the whole.
-    fold = DisplayFold()
-    for count, event in enumerate(log, 1):
+    fold, events = DisplayFold(), log.events
+    for count, event in enumerate(events, 1):
         fold.add(event.output_text)
-        prefix = EventLog(log.events[:count])
+        prefix = EventLog(events[:count])
         assert fold.erased == tokenizing_erasure(prefix)
         assert tuple(fold.changed) == latency_oracle.finalization(prefix).event_indices
     assert erasure(log) == tokenizing_erasure(log)
@@ -309,7 +310,7 @@ def _oracle_report(log: EventLog, doc: ReferenceDocument) -> MetricsReport:
     segmenter cuts."""
     lags = latency_oracle.token_lags(log, doc)
     erased = tokenizing_erasure(log)
-    hyp = tokenize(log.events[-1].output_text)
+    hyp = tokenize(log[-1].output_text)
     refs = [tokenize(segment.reference_text) for segment in doc.segments]
     cuts = [0, *full_table_segment(hyp, refs).boundaries, len(hyp)]
     pieces = [hyp[start:end] for start, end in zip(cuts, cuts[1:])]
@@ -346,7 +347,7 @@ def test_lag_matches_the_record_oracle(session):
             correspondence(log, doc)
         return
     assert correspondence(log, doc) == tuple(r.source_position for r in expected.tokens)
-    if not tokenize(log.events[-1].output_text):
+    if not tokenize(log[-1].output_text):
         with pytest.raises(ValueError, match="empty final translation"):
             token_lags(log, doc)
         return
@@ -433,7 +434,7 @@ def test_evaluate_all_is_consistent_with_parts(session_log):
     assert report.normalized_erasure == normalized_erasure(session_log)
     assert list(report.per_event_erasure) == erasure(session_log)
     assert list(report.per_token_lag) == token_lags(session_log, doc)
-    final_len = len(tokenize(session_log.events[-1].output_text))
+    final_len = len(tokenize(session_log[-1].output_text))
     assert sum(report.per_event_erasure) == pytest.approx(report.normalized_erasure * final_len)
     assert report.translation_lag == math.fsum(report.per_token_lag) / len(report.per_token_lag)
 
@@ -455,7 +456,7 @@ def test_evaluate_all_segments_and_tokenizes_the_final_translation_once(monkeypa
     monkeypatch.setattr(retrans.metrics, "mwer_segment", counting_segment)
     monkeypatch.setattr(retrans.metrics, "tokenize", counting_tokenize)
     evaluate_all(log, doc)
-    final = log.events[-1].output_text
+    final = log[-1].output_text
     assert segmented == [tuple(tokenize(final))]
     assert tokenized[final] == 1
     assert [tokenized[segment.reference_text] for segment in doc.segments] == [1] * len(doc.segments)

@@ -431,7 +431,7 @@ def test_no_final_token_finalizes_earlier_under_a_longer_mask(model, words, bias
     logs = [run_simulation(transcript, model, DecoderConfig(beam_size, bias_weight, k), chunk_size) for k in _MASKS]
     for shorter, longer in zip(logs, logs[1:]):
         assert [event.time for event in longer] == [event.time for event in shorter]
-        if longer.events[-1].output_text != shorter.events[-1].output_text:
+        if longer[-1].output_text != shorter[-1].output_text:
             continue
         before, after = finalization(shorter), finalization(longer)
         assert len(after) == len(before)
@@ -494,7 +494,7 @@ def test_a_transcript_that_ends_a_sentence_ends_on_one_display_under_every_mask(
     translations alone, the same for every k, and BLEU reads only it."""
     transcript = _timed([*words, last])
     finals = {
-        run_simulation(transcript, model, DecoderConfig(beam_size, bias_weight, k), chunk_size).events[-1].output_text
+        run_simulation(transcript, model, DecoderConfig(beam_size, bias_weight, k), chunk_size)[-1].output_text
         for k in _MASKS
     }
     assert len(finals) == 1
