@@ -12,7 +12,9 @@ In memory a log keeps only what each event adds to the last one
 Timestamps are seconds.  Text is compared token-wise everywhere in this
 package, and :func:`tokenize` is the one tokenizer all modules share.
 Every input file is read through :func:`read_lines`, which names the file
-and line of a bad one, and every JSONL line through :func:`json_object`.
+and line of a bad one, and every JSONL line through :func:`json_object`,
+save an event-log line in the form :func:`save_event_log` writes: of its
+texts only what they add to the line before is decoded.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
+from json.decoder import scanstring
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
@@ -159,6 +162,14 @@ class EventLog:
         them."""
         return islice(self._changes, self._size)
 
+    @classmethod
+    def _of(cls, changes: list[tuple[float, int, str, int, str]], last: Event | None) -> EventLog:
+        """The log of ``changes``, a list it shares, ending in the event ``last``.
+        Each cut must be all its text shares with the last one, as ``==`` assumes."""
+        log = object.__new__(cls)
+        log._changes, log._size, log._last = changes, len(changes), last
+        return log
+
 
 @contextmanager
 def replacing_file(path: str | Path, binary: bool = False) -> Iterator[IO]:
@@ -207,6 +218,7 @@ def read_lines(path: str | Path, read_line: Callable[[str], object]) -> None:
 
 
 _JSON = json.JSONDecoder(parse_int=float)
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def json_object(line: str, *keys: str) -> dict:
@@ -225,7 +237,7 @@ def json_object(line: str, *keys: str) -> dict:
         raise ValueError(f"expected an object with keys {expected}")
     if "\\" in line:  # JSON spells a surrogate only as an escape
         for key, value in record.items():
-            found = re.search("[\ud800-\udfff]", json.dumps(value, ensure_ascii=False))
+            found = _LONE_SURROGATE.search(json.dumps(value, ensure_ascii=False))
             if found:
                 raise ValueError(f'"{key}" holds the lone surrogate {found.group()!r}')
     return record
@@ -272,9 +284,7 @@ def append_event(log: EventLog, event: Event) -> EventLog:
     if len(changes) > log._size:  # a later log already grew this store
         changes = changes[:log._size]
     changes.append(change)
-    grown = object.__new__(EventLog)
-    grown._changes, grown._size, grown._last = changes, len(changes), event
-    return grown
+    return EventLog._of(changes, event)
 
 
 def format_seconds(value: float) -> str:
@@ -312,25 +322,116 @@ def save_event_log(log: EventLog, path: str | Path) -> None:
             handle.write(b'"}\n')
 
 
+# A line as save_event_log writes it, up to its source text: the time is a
+# JSON number with a point and no sign or exponent.
+_CANONICAL_HEAD = re.compile(r'\{"t": ((?:0|[1-9][0-9]*)\.[0-9]+), "src": "')
+_CANONICAL_MIDDLE = '", "out": "'
+
+# What load_event_log keeps of the last event: its time, source and output,
+# and the bodies the two texts had in its line (None for a line read whole).
+_Last = tuple[float, str, str, str | None, str | None]
+
+
+def _read_text(line: str, start: int, text: str, body: str | None) -> tuple[int, str, int] | None:
+    """The JSON string whose body starts at ``line[start]``, read after one
+    that held ``text`` as ``body`` (None: as a body not kept): how many
+    characters of ``text`` it keeps (all they share), the text after them,
+    and where its closing quote is.  None if it is not valid JSON or holds
+    a lone surrogate.
+
+    A body that starts with ``body`` is ``text`` and more, so only the rest
+    is decoded: ``body`` was a whole string body with no lone surrogate, so
+    it ends between two escapes and not inside an escaped surrogate pair."""
+    try:
+        if body is not None and line.startswith(body, start):
+            cut = len(text)
+            tail, end = scanstring(line, start + len(body), True)
+        else:
+            whole, end = scanstring(line, start, True)
+            cut = common_prefix_length(text, whole)
+            tail = whole[cut:]
+    except ValueError:
+        return None
+    if _LONE_SURROGATE.search(tail):
+        return None
+    return cut, tail, end - 1
+
+
+def _read_canonical(line: str, last: _Last) -> tuple[tuple[float, int, str, int, str], _Last] | None:
+    """The change ``line`` makes to a log ending in ``last``, as
+    :meth:`EventLog.changes` gives it, and what to keep of it; None if
+    ``line`` is not in the form :func:`save_event_log` writes or fails a
+    check, a time earlier than ``last``'s included."""
+    head = _CANONICAL_HEAD.match(line)
+    if head is None:
+        return None
+    last_time, source, output, source_body, output_body = last
+    time = float(head.group(1))
+    if math.isinf(time) or time < last_time:
+        return None
+    source_start = head.end()
+    read = _read_text(line, source_start, source, source_body)
+    if read is None or not line.startswith(_CANONICAL_MIDDLE, read[2]):
+        return None
+    source_cut, source_tail, source_end = read
+    output_start = source_end + len(_CANONICAL_MIDDLE)
+    read = _read_text(line, output_start, output, output_body)
+    if read is None or line[read[2]:] != '"}':
+        return None
+    output_cut, output_tail, output_end = read
+    kept = (
+        time,
+        source[:source_cut] + source_tail,
+        output[:output_cut] + output_tail,
+        line[source_start:source_end],
+        line[output_start:output_end],
+    )
+    return (time, source_cut, source_tail, output_cut, output_tail), kept
+
+
+def _json_event(line: str) -> Event:
+    """An event-log line read as any JSONL line is, through :func:`json_object`."""
+    record = json_object(line, "t", "src", "out")
+    if not isinstance(record["t"], float):
+        raise ValueError('"t" must be a number')
+    if not isinstance(record["src"], str) or not isinstance(record["out"], str):
+        raise ValueError('"src" and "out" must be strings')
+    return Event(record["t"] + 0.0, record["src"], record["out"])  # + 0.0 as in parse_timed_token
+
+
 def load_event_log(path: str | Path) -> EventLog:
     """Read a JSONL event log written by :func:`save_event_log`.
 
     Each line must be a JSON object with exactly the keys "t", "src" and
     "out".  Saving the result again reproduces the input byte for byte, as
-    long as the input was itself in canonical form.  Each line is appended
-    as it is read (:func:`append_event`), so only what it adds is kept.
+    long as the input was itself in canonical form.  Only what each line
+    adds to the last event is kept.  A line in the form the writer gives
+    has its time and its two texts read in place; where a text's escaped
+    body starts with the line before's, only the rest is decoded.  Any
+    other line is decoded whole (:func:`json_object`) and appended with
+    :func:`append_event`, so every error reads the same either way.
     """
-    log = EventLog()
+    changes: list[tuple[float, int, str, int, str]] = []
+    last: _Last = (0.0, "", "", "", "")
+    log = EventLog._of(changes, None)  # the log as of the last line read whole
+
+    def current() -> EventLog:
+        """The log so far: ``log``, unless lines read in place followed it."""
+        return log if len(log) == len(changes) else EventLog._of(changes, Event(*last[:3]))
 
     def read_line(line: str) -> None:
-        nonlocal log
-        record = json_object(line, "t", "src", "out")
-        if not isinstance(record["t"], float):
-            raise ValueError('"t" must be a number')
-        if not isinstance(record["src"], str) or not isinstance(record["out"], str):
-            raise ValueError('"src" and "out" must be strings')
-        event = Event(record["t"] + 0.0, record["src"], record["out"])  # + 0.0 as in parse_timed_token
-        log = append_event(log, event)
+        nonlocal last, log
+        read = _read_canonical(line, last)
+        if read is None:
+            log = append_event(current(), _json_event(line))  # appends to changes
+            event = log[-1]
+            last = (event.time, event.source_text, event.output_text, None, None)
+            return
+        change, kept = read
+        if changes and change[1:] == (len(last[1]), "", len(last[2]), ""):
+            return  # repeats the last (source, output) state, as append_event drops it
+        changes.append(change)
+        last = kept
 
     read_lines(path, read_line)
-    return log
+    return current()

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .decoder import DecoderConfig, ScoringModel
-from .eventlog import replacing_file
+from .eventlog import common_prefix_length, replacing_file
 from .metrics import DisplayFold, ReferenceDocument, Scorer, Tally, check_source
 from .pipeline import SessionState, TimedTranscript, advance, display_text, event_time
 
@@ -94,7 +94,8 @@ def sweep(
                     state = advance(state, (token,), model, config)
                     event_times.append(event_time(state, 0.0))
                     for mask_length, fold in folds.items():
-                        fold.add(display_text(state, mask_length))
+                        display = display_text(state, mask_length)
+                        fold.add(display, common_prefix_length(fold.display, display))
             except ValueError as exc:
                 raise ValueError(f"sweep failed at beta={bias_weight!r} document={name}: {exc}") from None
             for mask_length, fold in folds.items():

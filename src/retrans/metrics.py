@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .align import lcp_len, mwer_segment, split_by_boundaries
-from .eventlog import EventLog, TimedToken, common_prefix_length, json_object, parse_timed_token, read_lines
+from .eventlog import EventLog, TimedToken, json_object, parse_timed_token, read_lines
 from .eventlog import replacing_file, tokenize
 
 
@@ -137,8 +137,9 @@ class DisplayFold:
         self.erased: list[int] = []
         self.changed: list[int] = []
 
-    def add(self, text: str) -> None:
-        common = common_prefix_length(self.display, text)
+    def add(self, text: str, common: int) -> None:
+        """Fold in the display ``text``, whose first ``common`` characters
+        are the latest display's: the more they share, the less is tokenized."""
         # A cut where both texts have a token border, so that tokenize(x) ==
         # tokenize(x[:cut]) + tokenize(x[cut:]) for either: the end of the
         # latest display when text goes on from it with a space or not at
@@ -163,7 +164,7 @@ def _fold(log: EventLog) -> DisplayFold:
     """The displays of ``log`` folded one at a time, each rebuilt from what it changes."""
     fold = DisplayFold()
     for _, _, _, output_cut, output_tail in log.changes():
-        fold.add(fold.display[:output_cut] + output_tail)
+        fold.add(fold.display[:output_cut] + output_tail, output_cut)
     return fold
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from json.decoder import scanstring
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from retrans import (
     save_transcript,
     tokenize,
 )
+import retrans.eventlog
 from retrans.eventlog import append_event, format_seconds
 from retrans.pipeline import TimedTranscript
 
@@ -463,6 +465,159 @@ def test_readers_reject_a_byte_order_mark_on_line_1(tmp_path, reader, first_line
     assert str(excinfo.value) == f"{path}: line 1: starts with a UTF-8 byte order mark; save the file without one"
     path.write_text(first_line + "\n", encoding="utf-8")
     reader(path)
+
+
+# load_event_log decodes a line in the writer's form only past what each text
+# shares with the line before, and reads any other line as json_object does.
+# The texts of the drawn files are runs of JSON string units, so that a line
+# can extend the one before it by units the writer would not write: \u
+# escapes, escaped surrogate pairs, "\/".  The rare units make a line fail:
+# lone surrogates, a raw control character, a bad escape and a raw quote.
+_UNITS = ["a", " ", "ü", "\U0001f600", '\\"', "\\\\", "\\n", "\\u0000", "\\u001f", "\\/", "\\u00fc", "\\ud83d\\ude00", "\\uD83D\\uDE00"]
+_BAD_UNITS = ["\\ud83d", "\\ude00", "\x01", "\\x", '"']
+_FORMS = [
+    '{"src": "%(s)s", "t": %(t)s, "out": "%(o)s"}',
+    '{"t":%(t)s,"src":"%(s)s","out":"%(o)s"}',
+    ' {"t": %(t)s, "src": "%(s)s", "out": "%(o)s"} ',
+    '{"t": %(t)s, "src": "%(s)s", "out": "%(o)s"}\r',  # text mode reads "\r\n" as "\n"
+    '{"t": %(t)s, "src": "%(s)s", "put": "%(o)s"}',
+]
+_CANONICAL_FORM = '{"t": %(t)s, "src": "%(s)s", "out": "%(o)s"}'
+_OTHER_TIMES = ["3", "-0", "-0.0", "1e400", "1" + "0" * 400 + ".0", "1.50", "01.5", "0.5e1"]
+
+
+@st.composite
+def _next_units(draw, units: list[str]) -> list[str]:
+    """The units after ``units``: they extend, repeat, or are cut and extended."""
+    unit = st.sampled_from(_UNITS) if draw(st.integers(0, 24)) else st.sampled_from(_BAD_UNITS)
+    kind = draw(st.sampled_from(["extend", "extend", "repeat", "cut"]))
+    if kind == "repeat":
+        return units
+    keep = len(units) if kind == "extend" else draw(st.integers(0, len(units)))
+    return units[:keep] + draw(st.lists(unit, max_size=4))
+
+
+@st.composite
+def _event_log_lines(draw) -> list[str]:
+    """Lines of an event log, mostly in the writer's form, some repeated,
+    some with equal, regressing or non-canonical times, some in other forms."""
+    lines: list[str] = []
+    clock, source, output = 0.0, [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        if lines and not draw(st.integers(0, 9)):
+            lines.append(lines[-1])
+            continue
+        source, output = draw(_next_units(source)), draw(_next_units(output))
+        clock += draw(st.sampled_from([0, 0, 1, 250, 1500])) / 1000.0
+        time = format_seconds(clock)
+        if not draw(st.integers(0, 9)):
+            time = draw(st.sampled_from(_OTHER_TIMES + [format_seconds(max(clock - 1.0, 0.0))]))
+        form = draw(st.sampled_from(_FORMS)) if not draw(st.integers(0, 5)) else _CANONICAL_FORM
+        lines.append(form % {"t": time, "s": "".join(source), "o": "".join(output)})
+    return lines
+
+
+def _loaded(load, path) -> tuple:
+    """What ``load`` makes of ``path``: the log's changes and last event, or the error."""
+    try:
+        log = load(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return (list(log.changes()), log[-1] if log else None)
+
+
+@settings(max_examples=500)
+@given(lines=_event_log_lines())
+def test_load_matches_the_whole_line_reader(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("logs") / "events.jsonl"
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    assert _loaded(load_event_log, path) == _loaded(eventlog_oracle.load_event_log, path)
+
+
+def _assert_loads_as_the_oracle(path, log: EventLog | None = None) -> None:
+    loaded = _loaded(load_event_log, path)
+    assert loaded == _loaded(eventlog_oracle.load_event_log, path)
+    if log is not None:
+        assert loaded == (list(log.changes()), log[-1])
+
+
+def test_load_reads_a_source_text_holding_the_out_key(tmp_path):
+    # The writer escapes the quotes, so the source's body runs on past them.
+    log = build_log((1.0, 'er sagt ", "out": "', "x"), (2.0, 'er sagt ", "out": "ja', "x y"), (3.0, 'er sagt ", "out": "ja"}', "x y z"))
+    path = tmp_path / "events.jsonl"
+    save_event_log(log, path)
+    assert '"src": "er sagt \\", \\"out\\": \\"ja\\"}", "out": "x y z"}' in path.read_text(encoding="utf-8")
+    _assert_loads_as_the_oracle(path, log)
+
+
+def test_load_reads_an_escaped_backslash_after_a_body_ending_in_one(tmp_path):
+    # "a\\" then "a\\\\": the second body starts with the first, and the tail
+    # is one whole escape, not the second half of "\\\\" read from its middle.
+    path = tmp_path / "events.jsonl"
+    path.write_text(
+        '{"t": 1.0, "src": "a\\\\", "out": "x\\\\"}\n'
+        '{"t": 2.0, "src": "a\\\\\\\\", "out": "x\\\\\\""}\n'
+        '{"t": 3.0, "src": "a\\\\\\\\\\\\", "out": "x\\\\\\"\\\\"}\n',
+        encoding="utf-8",
+    )
+    log = build_log((1.0, "a\\", "x\\"), (2.0, "a\\\\", 'x\\"'), (3.0, "a\\\\\\", 'x\\"\\'))
+    _assert_loads_as_the_oracle(path, log)
+    save_event_log(log, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_load_names_the_line_of_invalid_utf8_in_an_extending_tail(tmp_path):
+    path = tmp_path / "events.jsonl"
+    save_event_log(build_log((1.0, "a", "x"), (2.0, "a b", "x y")), path)
+    path.write_bytes(path.read_bytes() + b'{"t": 3.0, "src": "a b c\xff", "out": "x y"}\n')
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: not valid UTF-8: 'utf-8' codec"):
+        load_event_log(path)
+    _assert_loads_as_the_oracle(path)
+
+
+def test_load_rejects_a_canonical_line_whose_time_regresses(tmp_path):
+    # The line is in the writer's form and extends both texts; only its time is wrong.
+    path = tmp_path / "events.jsonl"
+    path.write_text(
+        '{"t": 2.0, "src": "a", "out": "x"}\n{"t": 2.0, "src": "a b", "out": "x y"}\n{"t": 1.999, "src": "a b c", "out": "x y z"}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as excinfo:
+        load_event_log(path)
+    assert str(excinfo.value) == f"{path}: line 3: event time 1.999 precedes the last logged time 2.0"
+    _assert_loads_as_the_oracle(path)
+
+
+def test_a_crlf_copy_of_a_saved_log_loads_to_the_same_log(tmp_path):
+    log = build_log((0.0, "", ""), (1.0, 'a "b"', "x\r"), (1.0, 'a "b" c\\', "x\r\ny"), (2.5, "d", "\U0001f600"))
+    path = tmp_path / "events.jsonl"
+    save_event_log(log, path)
+    crlf = tmp_path / "events.crlf.jsonl"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_event_log(crlf) == log
+    _assert_loads_as_the_oracle(crlf, log)
+
+
+def test_load_decodes_only_what_each_line_adds(tmp_path, monkeypatch):
+    # A quote in the first word puts an escape on every line.  Each line's
+    # texts extend the last ones, so only what they add is decoded, and no
+    # line goes through json_object.
+    log = EventLog()
+    for i in range(200):
+        log = append_event(log, Event(float(i), '"a" ' + " ".join(f"s{j}" for j in range(i)), " ".join(f"w{j}" for j in range(i + 1))))
+    path = tmp_path / "events.jsonl"
+    save_event_log(log, path)
+    decoded = []
+
+    def counting_scanstring(line, start, strict):
+        text, end = scanstring(line, start, strict)
+        decoded.append(text)
+        return text, end
+
+    monkeypatch.setattr(retrans.eventlog, "scanstring", counting_scanstring)
+    monkeypatch.setattr(retrans.eventlog, "json_object", None)
+    assert load_event_log(path) == log
+    assert decoded == [tail for change in log.changes() for tail in (change[2], change[4])]
 
 
 

@@ -27,7 +27,7 @@ from retrans import (
     tokenize,
 )
 from retrans.align import mwer_segment
-from retrans.eventlog import append_event
+from retrans.eventlog import append_event, common_prefix_length
 from retrans.metrics import (
     DisplayFold,
     bleu_corpus,
@@ -175,7 +175,7 @@ def test_erasure_and_finalization_match_their_tokenizing_oracles(log):
     # The fold holds the finalization of every prefix of the log, not just of the whole.
     fold, events = DisplayFold(), log.events
     for count, event in enumerate(events, 1):
-        fold.add(event.output_text)
+        fold.add(event.output_text, common_prefix_length(fold.display, event.output_text))
         prefix = EventLog(events[:count])
         assert fold.erased == tokenizing_erasure(prefix)
         assert tuple(fold.changed) == latency_oracle.finalization(prefix).event_indices
