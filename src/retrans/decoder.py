@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Mapping, Protocol, Sequence
 
+from .align import lcp_len
 from .eventlog import read_lines, tokenize
 
 EOS_TOKEN = "</s>"
@@ -205,14 +206,6 @@ def _biased_step(
     return step
 
 
-def _shared_length(a: tuple, b: tuple) -> int:
-    """Length of the longest common prefix of ``a`` and ``b``."""
-    n = len(a) if len(a) < len(b) else len(b)
-    if a[:n] == b[:n]:
-        return n
-    return next(i for i in range(n) if a[i] != b[i])
-
-
 class BeamMemo:
     """The beam after each round of the last search over one sentence, and
     the inputs that search read, so that the next search can resume.
@@ -263,10 +256,10 @@ class BeamMemo:
             kept = len(beams)
             if source != self.source or source_complete != self.source_complete:
                 # Round n read the source words before n + lookahead + 1.
-                shared = _shared_length(source, self.source) - lookahead
+                shared = lcp_len(source, self.source) - lookahead
                 kept = shared if shared < kept else kept
             if previous != self.previous:
-                shared = _shared_length(previous, self.previous)  # round n read previous[n]
+                shared = lcp_len(previous, self.previous)  # round n read previous[n]
                 kept = shared if shared < kept else kept
             del beams[kept if kept > 0 else 0:]
         self.model, self.source, self.source_complete = model, source, source_complete

@@ -13,8 +13,10 @@ Timestamps are seconds.  Text is compared token-wise everywhere in this
 package, and :func:`tokenize` is the one tokenizer all modules share.
 Every input file is read through :func:`read_lines`, which names the file
 and line of a bad one, and every JSONL line through :func:`json_object`,
-save an event-log line in the form :func:`save_event_log` writes: of its
-texts only what they add to the line before is decoded.
+save an event-log line in the form :func:`save_event_log` writes that
+changes a text: of its texts only what they add to the line before is
+decoded.  Any other event-log line, a repeat included, is decoded whole
+and appended by the one rule :func:`append_event` follows.
 """
 
 from __future__ import annotations
@@ -289,7 +291,7 @@ def append_event(log: EventLog, event: Event) -> EventLog:
 
 def format_seconds(value: float) -> str:
     """Canonical wire form of a timestamp: at most 3 decimals, at least 1."""
-    text = f"{value:.3f}".rstrip("0")
+    text = f"{value + 0.0:.3f}".rstrip("0")  # + 0.0: -0.0 writes as "0.0"
     return text + "0" if text.endswith(".") else text
 
 
@@ -327,10 +329,6 @@ def save_event_log(log: EventLog, path: str | Path) -> None:
 _CANONICAL_HEAD = re.compile(r'\{"t": ((?:0|[1-9][0-9]*)\.[0-9]+), "src": "')
 _CANONICAL_MIDDLE = '", "out": "'
 
-# What load_event_log keeps of the last event: its time, source and output,
-# and the bodies the two texts had in its line (None for a line read whole).
-_Last = tuple[float, str, str, str | None, str | None]
-
 
 def _read_text(line: str, start: int, text: str, body: str | None) -> tuple[int, str, int] | None:
     """The JSON string whose body starts at ``line[start]``, read after one
@@ -357,38 +355,6 @@ def _read_text(line: str, start: int, text: str, body: str | None) -> tuple[int,
     return cut, tail, end - 1
 
 
-def _read_canonical(line: str, last: _Last) -> tuple[tuple[float, int, str, int, str], _Last] | None:
-    """The change ``line`` makes to a log ending in ``last``, as
-    :meth:`EventLog.changes` gives it, and what to keep of it; None if
-    ``line`` is not in the form :func:`save_event_log` writes or fails a
-    check, a time earlier than ``last``'s included."""
-    head = _CANONICAL_HEAD.match(line)
-    if head is None:
-        return None
-    last_time, source, output, source_body, output_body = last
-    time = float(head.group(1))
-    if math.isinf(time) or time < last_time:
-        return None
-    source_start = head.end()
-    read = _read_text(line, source_start, source, source_body)
-    if read is None or not line.startswith(_CANONICAL_MIDDLE, read[2]):
-        return None
-    source_cut, source_tail, source_end = read
-    output_start = source_end + len(_CANONICAL_MIDDLE)
-    read = _read_text(line, output_start, output, output_body)
-    if read is None or line[read[2]:] != '"}':
-        return None
-    output_cut, output_tail, output_end = read
-    kept = (
-        time,
-        source[:source_cut] + source_tail,
-        output[:output_cut] + output_tail,
-        line[source_start:source_end],
-        line[output_start:output_end],
-    )
-    return (time, source_cut, source_tail, output_cut, output_tail), kept
-
-
 def _json_event(line: str) -> Event:
     """An event-log line read as any JSONL line is, through :func:`json_object`."""
     record = json_object(line, "t", "src", "out")
@@ -405,33 +371,43 @@ def load_event_log(path: str | Path) -> EventLog:
     Each line must be a JSON object with exactly the keys "t", "src" and
     "out".  Saving the result again reproduces the input byte for byte, as
     long as the input was itself in canonical form.  Only what each line
-    adds to the last event is kept.  A line in the form the writer gives
-    has its time and its two texts read in place; where a text's escaped
-    body starts with the line before's, only the rest is decoded.  Any
-    other line is decoded whole (:func:`json_object`) and appended with
-    :func:`append_event`, so every error reads the same either way.
+    adds to the last event is kept.  A line is read in place when it is in
+    the form the writer gives, its time is finite and no earlier than the
+    last, and it changes a text of the last event (two empty texts before
+    the first): where a text's escaped body starts with the line before's,
+    only the rest is decoded.  Every other line (another form, bad JSON, a
+    lone surrogate, a time that regresses, a repeat) is decoded whole
+    (:func:`json_object`) and appended by the rule :func:`append_event`
+    follows, so it raises as there or is dropped.
     """
     changes: list[tuple[float, int, str, int, str]] = []
-    last: _Last = (0.0, "", "", "", "")
-    log = EventLog._of(changes, None)  # the log as of the last line read whole
-
-    def current() -> EventLog:
-        """The log so far: ``log``, unless lines read in place followed it."""
-        return log if len(log) == len(changes) else EventLog._of(changes, Event(*last[:3]))
+    # The last event, and the bodies its texts had in its line: None after a line read whole.
+    time, source, output = 0.0, "", ""
+    source_body: str | None = ""
+    output_body: str | None = ""
 
     def read_line(line: str) -> None:
-        nonlocal last, log
-        read = _read_canonical(line, last)
-        if read is None:
-            log = append_event(current(), _json_event(line))  # appends to changes
-            event = log[-1]
-            last = (event.time, event.source_text, event.output_text, None, None)
+        nonlocal time, source, output, source_body, output_body
+        head = _CANONICAL_HEAD.match(line)
+        if (
+            head
+            and time <= (line_time := float(head.group(1))) < math.inf
+            and (src := _read_text(line, source_start := head.end(), source, source_body))
+            and line.startswith(_CANONICAL_MIDDLE, src[2])
+            and (out := _read_text(line, output_start := src[2] + len(_CANONICAL_MIDDLE), output, output_body))
+            and line[out[2]:] == '"}'
+            and (src[1] or out[1] or src[0] < len(source) or out[0] < len(output))  # changes a text
+        ):
+            changes.append((line_time, src[0], src[1], out[0], out[1]))
+            time, source, output = line_time, source[:src[0]] + src[1], output[:out[0]] + out[1]
+            source_body, output_body = line[source_start:src[2]], line[output_start:out[2]]
             return
-        change, kept = read
-        if changes and change[1:] == (len(last[1]), "", len(last[2]), ""):
-            return  # repeats the last (source, output) state, as append_event drops it
-        changes.append(change)
-        last = kept
+        event = _json_event(line)
+        change = _change(Event(time, source, output) if changes else None, event)
+        if change is not None:
+            changes.append(change)
+            time, source, output = event.time, event.source_text, event.output_text
+            source_body = output_body = None
 
     read_lines(path, read_line)
-    return current()
+    return EventLog._of(changes, Event(time, source, output) if changes else None)

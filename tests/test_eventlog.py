@@ -25,12 +25,12 @@ from retrans import (
     tokenize,
 )
 import retrans.eventlog
-from retrans.eventlog import append_event, format_seconds
+from retrans.eventlog import append_event, format_seconds, json_object
 from retrans.pipeline import TimedTranscript
 
 import eventlog_oracle
 import replay_oracle
-from conftest import build_log
+from conftest import TOY_DIR, build_log
 
 
 def test_tokenize_splits_on_whitespace_runs():
@@ -136,6 +136,7 @@ def test_format_seconds_three_decimals_max():
     assert format_seconds(4.125) == "4.125"
     assert format_seconds(1.23456) == "1.235"
     assert format_seconds(0.0) == "0.0"
+    assert format_seconds(-0.0) == "0.0"
 
 
 def test_save_load_save_is_byte_identical(tmp_path, session_log):
@@ -467,6 +468,44 @@ def test_readers_reject_a_byte_order_mark_on_line_1(tmp_path, reader, first_line
     reader(path)
 
 
+# Transcripts have a writer, so they round-trip: tokens holding the two
+# escaped printables and characters beyond the BMP, at millisecond times.
+@given(
+    st.lists(
+        st.tuples(st.text(alphabet=st.sampled_from(["a", '"', "\\", "ü", "\U0001f600"]), min_size=1, max_size=4), st.integers(0, 3000)),
+        max_size=8,
+    )
+)
+def test_transcripts_round_trip(tmp_path_factory, words):
+    clock, tokens = 0, []
+    for word, millis in words:
+        clock += millis
+        tokens.append(TimedToken(word, clock / 1000.0))
+    transcript = TimedTranscript(tuple(tokens))
+    directory = tmp_path_factory.mktemp("transcripts")
+    save_transcript(transcript, directory / "first.jsonl")
+    loaded = load_transcript(directory / "first.jsonl")
+    assert loaded == transcript
+    save_transcript(loaded, directory / "second.jsonl")
+    assert (directory / "second.jsonl").read_bytes() == (directory / "first.jsonl").read_bytes()
+
+
+def test_a_crlf_copy_of_a_model_file_loads_to_the_same_model(tmp_path):
+    crlf = tmp_path / "model.crlf.tsv"
+    crlf.write_bytes((TOY_DIR / "model.tsv").read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
+    assert load_table_model(crlf) == load_table_model(TOY_DIR / "model.tsv")
+
+
+def test_a_crlf_copy_of_a_caption_cue_file_loads_to_the_same_transcript(tmp_path):
+    cues = tmp_path / "cues.tsv"
+    cues.write_bytes(b"0.0\t1.5\tdie Bank\n2.0\t3.0\tist zu.\n")
+    crlf = tmp_path / "cues.crlf.tsv"
+    crlf.write_bytes(cues.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_captions(crlf) == load_captions(cues)
+    assert [token.token for token in load_captions(crlf).tokens] == ["die", "Bank", "ist", "zu."]
+
+
 # load_event_log decodes a line in the writer's form only past what each text
 # shares with the line before, and reads any other line as json_object does.
 # The texts of the drawn files are runs of JSON string units, so that a line
@@ -517,13 +556,22 @@ def _event_log_lines(draw) -> list[str]:
     return lines
 
 
-def _loaded(load, path) -> tuple:
-    """What ``load`` makes of ``path``: the log's changes and last event, or the error."""
+def _assert_loads_as_the_oracle(path, log: EventLog | None = None) -> None:
+    """``load_event_log`` gives the events and changes the whole-line oracle
+    gives (and ``log``'s, if given), or raises the same error."""
     try:
-        log = load(path)
+        loaded = load_event_log(path)
+        live = (loaded.events, list(loaded.changes()))
     except ValueError as exc:
-        return ("error", str(exc))
-    return (list(log.changes()), log[-1] if log else None)
+        live = ("error", str(exc))
+    try:
+        events = eventlog_oracle.load_event_log(path)
+        oracle = (events, eventlog_oracle.changes(events))
+    except ValueError as exc:
+        oracle = ("error", str(exc))
+    assert live == oracle
+    if log is not None:
+        assert live == (log.events, list(log.changes()))
 
 
 @settings(max_examples=500)
@@ -531,14 +579,7 @@ def _loaded(load, path) -> tuple:
 def test_load_matches_the_whole_line_reader(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("logs") / "events.jsonl"
     path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
-    assert _loaded(load_event_log, path) == _loaded(eventlog_oracle.load_event_log, path)
-
-
-def _assert_loads_as_the_oracle(path, log: EventLog | None = None) -> None:
-    loaded = _loaded(load_event_log, path)
-    assert loaded == _loaded(eventlog_oracle.load_event_log, path)
-    if log is not None:
-        assert loaded == (list(log.changes()), log[-1])
+    _assert_loads_as_the_oracle(path)
 
 
 def test_load_reads_a_source_text_holding_the_out_key(tmp_path):
@@ -618,6 +659,46 @@ def test_load_decodes_only_what_each_line_adds(tmp_path, monkeypatch):
     monkeypatch.setattr(retrans.eventlog, "json_object", None)
     assert load_event_log(path) == log
     assert decoded == [tail for change in log.changes() for tail in (change[2], change[4])]
+
+
+def test_a_repeated_line_is_read_whole_and_the_lines_after_it_in_place(tmp_path, monkeypatch):
+    # The repeat goes through json_object and the append rule, which drops
+    # it.  It changes nothing, so the next line still has only its tails decoded.
+    log = build_log((1.0, '"a"', "x"), (2.0, '"a" b', "x y"), (3.0, '"a" b c', "x y z"))
+    path = tmp_path / "events.jsonl"
+    save_event_log(log, path)
+    first, second, third = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(first + second + second + third, encoding="utf-8")
+    decoded, read_whole = [], []
+
+    def counting_scanstring(line, start, strict):
+        text, end = scanstring(line, start, strict)
+        decoded.append(text)
+        return text, end
+
+    def counting_json_object(line, *keys):
+        read_whole.append(line)
+        return json_object(line, *keys)
+
+    monkeypatch.setattr(retrans.eventlog, "scanstring", counting_scanstring)
+    monkeypatch.setattr(retrans.eventlog, "json_object", counting_json_object)
+    assert load_event_log(path) == log
+    assert read_whole == [second.rstrip("\n")]
+    assert decoded == ['"a"', "x", " b", " y", "", "", " c", " z"]
+    _assert_loads_as_the_oracle(path, log)
+
+
+def test_a_negative_zero_time_saves_as_zero_and_reloads_in_place(tmp_path, monkeypatch):
+    transcript = tmp_path / "transcript.jsonl"
+    save_transcript(TimedTranscript((TimedToken("a", -0.0), TimedToken("b", 1.0))), transcript)
+    assert transcript.read_text(encoding="utf-8") == '{"w": "a", "time": 0.0}\n{"w": "b", "time": 1.0}\n'
+    path = tmp_path / "events.jsonl"
+    save_event_log(EventLog((Event(-0.0, "a", "x"), Event(1.0, "a b", "x y"))), path)
+    assert path.read_text(encoding="utf-8") == '{"t": 0.0, "src": "a", "out": "x"}\n{"t": 1.0, "src": "a b", "out": "x y"}\n'
+    monkeypatch.setattr(retrans.eventlog, "json_object", None)  # so every line is read in place
+    again = tmp_path / "again.jsonl"
+    save_event_log(load_event_log(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 
