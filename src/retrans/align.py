@@ -1,6 +1,6 @@
-"""Token alignment primitives: common prefixes, and minimum-error
-segmentation of an unsegmented hypothesis against a list of reference
-segments."""
+"""Alignment primitives: common prefixes of token sequences and texts, and
+minimum-error segmentation of an unsegmented hypothesis against a list of
+reference segments."""
 
 from __future__ import annotations
 
@@ -8,12 +8,21 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-def lcp_len(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common prefix of two token sequences."""
-    n = len(a) if len(a) < len(b) else len(b)
-    if a[:n] == b[:n]:  # one comparison at C speed when one extends the other
-        return n
-    return next((i for i in range(n) if a[i] != b[i]), n)
+def lcp_len(a: Sequence, b: Sequence) -> int:
+    """Length of the longest common prefix of two sequences of one type, such as
+    two token lists or two strings, by slice comparisons at C speed."""
+    if len(a) > len(b):
+        a, b = b, a
+    if b[:len(a)] == a:  # one comparison when one extends the other
+        return len(a)
+    known, bound = 0, len(a) - 1  # a[:known] == b[:known], and the common prefix ends by bound
+    while known < bound:  # a binary search that compares only what is not yet known to be shared
+        middle = (known + bound + 1) // 2
+        if a[known:middle] == b[known:middle]:
+            known = middle
+        else:
+            bound = middle - 1
+    return known
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,6 +35,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
+from .align import lcp_len
+
 
 def tokenize(text: str) -> list[str]:
     """Split ``text`` on runs of whitespace.
@@ -79,22 +81,6 @@ class Event:
 
     def state(self) -> tuple[str, str]:
         return (self.source_text, self.output_text)
-
-
-def common_prefix_length(a: str, b: str) -> int:
-    """The length of the longest common prefix of ``a`` and ``b``.  A binary
-    search that compares only the part not yet known to be shared, so it
-    copies about one text's worth of characters, at C speed."""
-    if b.startswith(a):
-        return len(a)
-    known, bound = 0, min(len(a), len(b))  # a[:known] == b[:known], and the prefix ends by bound
-    while known < bound:
-        middle = (known + bound + 1) // 2
-        if b.startswith(a[known:middle], known):
-            known = middle
-        else:
-            bound = middle - 1
-    return known
 
 
 class EventLog:
@@ -264,8 +250,8 @@ def _change(last: Event | None, event: Event) -> tuple[float, int, str, int, str
         raise ValueError(f"event time {event.time!r} precedes the last logged time {last.time!r}")
     if event.state() == last.state():
         return None
-    source_cut = common_prefix_length(last.source_text, event.source_text)
-    output_cut = common_prefix_length(last.output_text, event.output_text)
+    source_cut = lcp_len(last.source_text, event.source_text)
+    output_cut = lcp_len(last.output_text, event.output_text)
     return (event.time, source_cut, event.source_text[source_cut:], output_cut, event.output_text[output_cut:])
 
 
@@ -346,7 +332,7 @@ def _read_text(line: str, start: int, text: str, body: str | None) -> tuple[int,
             tail, end = scanstring(line, start + len(body), True)
         else:
             whole, end = scanstring(line, start, True)
-            cut = common_prefix_length(text, whole)
+            cut = lcp_len(text, whole)
             tail = whole[cut:]
     except ValueError:
         return None

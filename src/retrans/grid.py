@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .align import lcp_len
 from .decoder import DecoderConfig, ScoringModel
-from .eventlog import common_prefix_length, replacing_file
-from .metrics import DisplayFold, ReferenceDocument, Scorer, Tally, check_source
+from .eventlog import replacing_file
+from .metrics import DisplayFold, ReferenceDocument, Scorer, Tally
 from .pipeline import SessionState, TimedTranscript, advance, display_text, event_time
 
 
@@ -78,9 +79,10 @@ def sweep(
                 raise ValueError(f"sweep grid repeats the {what} {value!r}")
     scorers = []
     for name, transcript, reference in documents:
-        words = [tok.token for tok in transcript.tokens]
-        check_source(words, f"document {name}: the transcript", reference, "its reference's source")
-        scorers.append(Scorer(reference))
+        try:
+            scorers.append(Scorer(reference, [tok.token for tok in transcript.tokens]))
+        except ValueError as exc:
+            raise ValueError(f"document {name}: {exc}") from None
     rows = []
     for bias_weight in bias_weights:
         config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight)
@@ -95,7 +97,7 @@ def sweep(
                     event_times.append(event_time(state, 0.0))
                     for mask_length, fold in folds.items():
                         display = display_text(state, mask_length)
-                        fold.add(display, common_prefix_length(fold.display, display))
+                        fold.add(display, lcp_len(fold.display, display))
             except ValueError as exc:
                 raise ValueError(f"sweep failed at beta={bias_weight!r} document={name}: {exc}") from None
             for mask_length, fold in folds.items():

@@ -17,10 +17,11 @@ Erasure and finalization come from one pass over the displays
 (:class:`DisplayFold`), each compared only with the one before it, so the
 final display need not be known first.  The final translation is segmented
 once (:class:`Scorer`), and that one segmentation serves both BLEU and the
-source positions that lag reads.  A :class:`Tally` turns folded sessions
-and their scorers into the three numbers: :func:`evaluate_all` is a tally
-of one session, and :func:`retrans.grid.sweep` keeps one per mask length,
-pooled over its documents.
+source positions that lag reads; a scorer exists only for a session over
+its reference's source.  A :class:`Tally` turns folded sessions and their
+scorers into the three numbers: :func:`evaluate_all` is a tally of one
+session, and :func:`retrans.grid.sweep` keeps one per mask length, pooled
+over its documents.
 """
 
 from __future__ import annotations
@@ -74,21 +75,6 @@ class ReferenceDocument:
 
     def reference_token_segments(self) -> list[list[str]]:
         return [tokenize(seg.reference_text) for seg in self.segments]
-
-
-def check_source(words: list[str], what: str, reference: ReferenceDocument, of: str) -> None:
-    """Raise ``ValueError`` unless ``words`` are the source words of
-    ``reference``, naming the first token where they differ; ``what`` and
-    ``of`` name the two sides in the message."""
-    expected = [tok.token for seg in reference.segments for tok in seg.source_tokens]
-    if words != expected:
-        at = lcp_len(words, expected)
-        seen = repr(words[at]) if at < len(words) else "no token"
-        wanted = repr(expected[at]) if at < len(expected) else "no token"
-        raise ValueError(
-            f"{what} ({len(words)} tokens) differs from {of} ({len(expected)} tokens) "
-            f"at token {at + 1}: {seen} instead of {wanted}"
-        )
 
 
 def load_reference_document(path: str | Path) -> ReferenceDocument:
@@ -218,7 +204,7 @@ def correspondence(log: EventLog, doc: ReferenceDocument) -> tuple[float, ...]:
     """
     if not log:
         raise ValueError("correspondence needs at least one event")
-    return Scorer(doc).final(log[-1].output_text)[1]
+    return Scorer(doc, tokenize(log[-1].source_text)).final(log[-1].output_text)[1]
 
 
 def spoken_times(positions: Sequence[float], times: Sequence[float]) -> list[float]:
@@ -310,7 +296,7 @@ def evaluate_quality(log: EventLog, doc: ReferenceDocument) -> float:
     segments."""
     if not log:
         raise ValueError("quality needs at least one event")
-    scorer = Scorer(doc)
+    scorer = Scorer(doc, tokenize(log[-1].source_text))
     return bleu_score(scorer.final(log[-1].output_text)[0], scorer.ref_len)
 
 
@@ -319,17 +305,29 @@ def evaluate_quality(log: EventLog, doc: ReferenceDocument) -> float:
 
 
 class Scorer:
-    """Scores final translations against one reference document.  The
-    reference is prepared once; each distinct final text is segmented
+    """Scores final translations of a session against its reference.  Built
+    from the session's source words, it raises ``ValueError`` unless they
+    are the reference's, naming both token counts and the first token where
+    they differ.  The reference is prepared once; each distinct final text is segmented
     against its segments once, and that one segmentation gives both the
     text's BLEU statistics and its tokens' source positions for lag."""
 
-    def __init__(self, reference: ReferenceDocument) -> None:
+    def __init__(self, reference: ReferenceDocument, source: list[str]) -> None:
+        tokens = [token for segment in reference.segments for token in segment.source_tokens]
+        expected = [token.token for token in tokens]
+        if source != expected:
+            at = lcp_len(source, expected)
+            seen = repr(source[at]) if at < len(source) else "no token"
+            wanted = repr(expected[at]) if at < len(expected) else "no token"
+            raise ValueError(
+                f"the source ({len(source)} tokens) differs from the reference's source "
+                f"({len(expected)} tokens) at token {at + 1}: {seen} instead of {wanted}"
+            )
         self.refs = reference.reference_token_segments()
         self.ref_counts = [ngram_counts(ref) for ref in self.refs]
         self.ref_len = sum(len(ref) for ref in self.refs)
         self.source_lens = [len(segment.source_tokens) for segment in reference.segments]
-        self.times = reference.source_times()
+        self.times = [token.time for token in tokens]
         self.finals: dict[str, tuple[list[int], tuple[float, ...], list[float]]] = {}
 
     def final(self, text: str) -> tuple[list[int], tuple[float, ...], list[float]]:
@@ -400,14 +398,15 @@ def evaluate_all(log: EventLog, doc: ReferenceDocument, mode: str = "segment") -
     """Evaluate one session end to end, as a :class:`Tally` of one: its
     displays are folded once for lag and erasure, and its final translation
     is segmented once for BLEU and for the lag's source positions
-    (:class:`Scorer`).  ``mode`` names that one correspondence and takes no
-    other value."""
+    (:class:`Scorer`: a final source that is not the reference's raises).
+    ``mode`` names that one correspondence and takes no other value."""
     if mode != "segment":
         raise ValueError(f'correspondence mode must be "segment", got {mode!r}')
     if not log:
         raise ValueError("lag needs at least one event")
+    scorer = Scorer(doc, tokenize(log[-1].source_text))
     tally = Tally()
-    tally.add(_fold(log), [change[0] for change in log.changes()], Scorer(doc))
+    tally.add(_fold(log), [change[0] for change in log.changes()], scorer)
     return tally.report()
 
 

@@ -31,20 +31,29 @@ from retrans.pipeline import TimedTranscript
 from test_align import full_table_segment
 
 
-def check_source(name: str, words: list[str], reference: ReferenceDocument) -> None:
-    """Raise the message the live sweep raises unless ``words`` are the
-    source words of ``reference``."""
+def source_mismatch(words: list[str], reference: ReferenceDocument) -> str | None:
+    """The message a scorer of ``reference`` raises for a session over
+    ``words``, found token by token; None if they are its source words."""
     expected = [tok.token for segment in reference.segments for tok in segment.source_tokens]
     at = 0
     while at < len(words) and at < len(expected) and words[at] == expected[at]:
         at += 1
-    if at < len(words) or at < len(expected):
-        seen = repr(words[at]) if at < len(words) else "no token"
-        wanted = repr(expected[at]) if at < len(expected) else "no token"
-        raise ValueError(
-            f"document {name}: the transcript ({len(words)} tokens) differs from its reference's source "
-            f"({len(expected)} tokens) at token {at + 1}: {seen} instead of {wanted}"
-        )
+    if at == len(words) == len(expected):
+        return None
+    seen = repr(words[at]) if at < len(words) else "no token"
+    wanted = repr(expected[at]) if at < len(expected) else "no token"
+    return (
+        f"the source ({len(words)} tokens) differs from the reference's source "
+        f"({len(expected)} tokens) at token {at + 1}: {seen} instead of {wanted}"
+    )
+
+
+def check_source(name: str, words: list[str], reference: ReferenceDocument) -> None:
+    """Raise the message the live sweep raises unless ``words`` are the
+    source words of ``reference``."""
+    message = source_mismatch(words, reference)
+    if message is not None:
+        raise ValueError(f"document {name}: {message}")
 
 
 def segment(hyp: list[str], refs: list[list[str]]) -> list[list[str]]:

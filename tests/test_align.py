@@ -222,6 +222,7 @@ def test_lcp_is_symmetric_and_bounded(a, b):
     assert n == lcp_len(b, a)
     assert a[:n] == b[:n]
     assert n == min(len(a), len(b)) or a[n] != b[n]
+    assert lcp_len("".join(a), "".join(b)) == n  # texts take the same search
 
 
 def test_segment_empty_hypothesis_pays_full_deletion():

@@ -179,7 +179,7 @@ def test_sweep_failure_names_setting_and_document(toy_model, toy_documents):
     # An empty transcript is not its reference's source: rejected before the grid.
     _, _, reference = toy_documents[0]
     documents = [("leer.jsonl", TimedTranscript(), reference)]
-    with pytest.raises(ValueError, match=r"^document leer\.jsonl: the transcript \(0 tokens\) differs"):
+    with pytest.raises(ValueError, match=r"^document leer\.jsonl: the source \(0 tokens\) differs"):
         sweep(toy_model, documents, [0.5], [2], beam_size=1)
 
 
@@ -200,7 +200,10 @@ def test_sweep_failure_in_the_grid_names_setting_and_document(toy_documents):
 def test_sweep_rejects_a_transcript_of_another_document(toy_model, toy_documents):
     news = next(doc for doc in toy_documents if doc[0] == "news.jsonl")
     games = next(doc for doc in toy_documents if doc[0] == "games.jsonl")
-    message = r"^document x\.jsonl: the transcript \(.*at token 1: 'die' instead of 'das'"
+    message = (
+        r"^document x\.jsonl: the source \(22 tokens\) differs from the reference's source \(19 tokens\) "
+        r"at token 1: 'die' instead of 'das'$"
+    )
     with pytest.raises(ValueError, match=message):
         sweep(toy_model, [("x.jsonl", news[1], games[2])], [0.0], [0], beam_size=2)
 
@@ -244,8 +247,10 @@ class CountingModel:
     def __init__(self, model):
         self.model = model
         self.searches = 0
+        self.calls = 0
 
     def next_distribution(self, source, source_complete, prefix):
+        self.calls += 1
         if not prefix:
             self.searches += 1
         return self.model.next_distribution(source, source_complete, prefix)
@@ -279,6 +284,17 @@ def test_sweep_rejects_a_repeated_grid_value_before_decoding(toy_model, toy_docu
     with pytest.raises(ValueError, match=f"^sweep grid repeats {re.escape(message)}$"):
         sweep(model, toy_documents, betas, ks, beam_size=2)
     assert model.searches == 0
+
+
+def test_sweep_rejects_a_mismatched_last_document_before_decoding(toy_model, toy_documents):
+    # Only the last document's transcript is another document's, so a check
+    # made as each document comes up would decode the first two.
+    first, second, (name, _, reference) = toy_documents[:3]
+    other_transcript = toy_documents[3][1]
+    model = CountingModel(toy_model)
+    with pytest.raises(ValueError, match=f"^document {re.escape(name)}: the source \\(.* at token 1: "):
+        sweep(model, [first, second, (name, other_transcript, reference)], [0.0, 0.5], [0, 2], beam_size=2)
+    assert model.calls == 0
 
 
 class FailingModel:
@@ -493,9 +509,10 @@ def test_evaluate_command_rejects_a_log_of_another_document(tmp_path, toy_model,
     out = tmp_path / "report.json"
     code = main(["evaluate", "--events", str(events), "--reference", str(reference), "--out", str(out)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert str(events) in err and str(reference) in err
+    assert capsys.readouterr().err == (
+        f"error: {events} against {reference}: the source (22 tokens) differs from the reference's source "
+        "(19 tokens) at token 1: 'die' instead of 'das'\n"
+    )
     assert not out.exists()
 
 
@@ -506,9 +523,21 @@ def test_evaluate_command_names_the_file_of_an_empty_log(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["evaluate", "--events", str(events), "--reference", str(reference), "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: {events}: the final source (0 tokens) differs from the source of {reference} ("
-    )
+    assert capsys.readouterr().err == f"error: {events} against {reference}: lag needs at least one event\n"
+    assert not out.exists()
+
+
+def test_evaluate_command_names_both_files_of_an_empty_final_translation(tmp_path, capsys):
+    transcript = load_transcript(TOY_DIR / "transcripts" / "news.jsonl")
+    source = " ".join(token.token for token in transcript.tokens)
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"t": 1.0, "src": "%s", "out": ""}\n' % source, encoding="utf-8")
+    reference = TOY_DIR / "references" / "news.jsonl"
+    out = tmp_path / "report.json"
+    code = main(["evaluate", "--events", str(events), "--reference", str(reference), "--out", str(out)])
+    assert code == 1
+    expected = f"error: {events} against {reference}: lag is undefined for an empty final translation\n"
+    assert capsys.readouterr().err == expected
     assert not out.exists()
 
 
@@ -532,7 +561,7 @@ def test_sweep_command_rejects_a_transcript_of_another_document(tmp_path, capsys
     ]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: document x.jsonl: the transcript (")
+    assert err.startswith("error: document x.jsonl: the source (")
     assert "at token 1: 'die' instead of 'das'" in err
     assert not out.exists() and not out.with_suffix(".pareto.csv").exists()
 

@@ -490,6 +490,88 @@ def test_transcripts_round_trip(tmp_path_factory, words):
     assert (directory / "second.jsonl").read_bytes() == (directory / "first.jsonl").read_bytes()
 
 
+# One character of one saved line inserted, deleted or replaced: by a
+# character the two JSONL forms give meaning to, or by one they escape.  No
+# edit adds a line end, so the edited line keeps its number.
+_EDIT_CHARACTERS = ["0", "7", ".", "-", "e", " ", ",", ":", "{", "}", '"', "\\", "u", "a", "ü", "\x01", "\U0001f600"]
+
+
+@st.composite
+def _edited_lines(draw, lines: list[str]) -> tuple[int, list[str]]:
+    """``lines`` with one character of one of them edited, and that line's 1-based number."""
+    index = draw(st.integers(0, len(lines) - 1))
+    line = lines[index]
+    kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+    at = draw(st.integers(0, len(line) if kind == "insert" else len(line) - 1))
+    new = "" if kind == "delete" else draw(st.sampled_from(_EDIT_CHARACTERS))
+    edited = line[:at] + new + line[at + (kind != "insert"):]
+    return index + 1, lines[:index] + [edited] + lines[index + 1:]
+
+
+def _assert_an_edit_fails_on_its_line_or_saves_canonically(directory, lines, lineno, load, save):
+    """Loading the edited ``lines`` raises naming the file and a line no
+    earlier than the edit, or what loads saves to bytes that load and save
+    to themselves.  Returns the edited file."""
+    path = directory / "edited.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
+    try:
+        loaded = load(path)
+    except ValueError as exc:
+        failed = re.match(f"{re.escape(str(path))}: line ([0-9]+): ", str(exc))
+        assert failed and int(failed.group(1)) >= lineno, str(exc)
+        return path
+    save(loaded, directory / "first.jsonl")
+    save(load(directory / "first.jsonl"), directory / "second.jsonl")
+    assert (directory / "second.jsonl").read_bytes() == (directory / "first.jsonl").read_bytes()
+    return path
+
+
+@settings(max_examples=150)
+@given(
+    words=st.lists(
+        st.tuples(st.text(alphabet=st.sampled_from(["a", '"', "\\", "ü"]), min_size=1, max_size=4), st.integers(0, 3000)),
+        min_size=1,
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_an_edited_transcript_line_fails_on_its_line_or_saves_canonically(tmp_path_factory, words, data):
+    clock, tokens = 0, []
+    for word, millis in words:
+        clock += millis
+        tokens.append(TimedToken(word, clock / 1000.0))
+    directory = tmp_path_factory.mktemp("transcripts")
+    save_transcript(TimedTranscript(tuple(tokens)), directory / "saved.jsonl")
+    lines = (directory / "saved.jsonl").read_text(encoding="utf-8").splitlines()
+    lineno, edited = data.draw(_edited_lines(lines))
+    _assert_an_edit_fails_on_its_line_or_saves_canonically(directory, edited, lineno, load_transcript, save_transcript)
+
+
+@settings(max_examples=150)
+@given(
+    records=st.lists(
+        st.tuples(st.integers(0, 3000), st.text(alphabet="ab \"\\ü", max_size=6), st.text(alphabet="xy \"\\ü", max_size=6)),
+        min_size=1,
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_an_edited_event_log_line_fails_on_its_line_or_saves_canonically(tmp_path_factory, records, data):
+    log = EventLog()
+    clock = 0
+    for millis, src, out in records:
+        clock += millis
+        log = append_event(log, Event(clock / 1000.0, src, out))
+    directory = tmp_path_factory.mktemp("logs")
+    save_event_log(log, directory / "saved.jsonl")
+    lines = (directory / "saved.jsonl").read_text(encoding="utf-8").splitlines()
+    lineno, edited = data.draw(_edited_lines(lines))
+    path = _assert_an_edit_fails_on_its_line_or_saves_canonically(
+        directory, edited, lineno, load_event_log, save_event_log
+    )
+    _assert_loads_as_the_oracle(path)
+
+
 def test_a_crlf_copy_of_a_model_file_loads_to_the_same_model(tmp_path):
     crlf = tmp_path / "model.crlf.tsv"
     crlf.write_bytes((TOY_DIR / "model.tsv").read_bytes().replace(b"\n", b"\r\n"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -7,7 +8,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bleu_oracle
 import latency_oracle
@@ -26,8 +27,8 @@ from retrans import (
     save_report,
     tokenize,
 )
-from retrans.align import mwer_segment
-from retrans.eventlog import append_event, common_prefix_length
+from retrans.align import lcp_len, mwer_segment
+from retrans.eventlog import append_event
 from retrans.metrics import (
     DisplayFold,
     bleu_corpus,
@@ -41,20 +42,18 @@ from retrans.metrics import (
 
 from conftest import build_log
 from erasure_oracle import tokenizing_erasure
+from sweep_oracle import source_mismatch
 from test_align import full_table_segment
 
 
-def make_document(*segments: tuple[list[float], str]) -> ReferenceDocument:
+def make_document(*segments: tuple[list[float], str], words: str | None = None) -> ReferenceDocument:
     """Each segment is (source token times, reference text); source words
-    are generated as s0, s1, ... since only their times matter here."""
+    are generated as s0, s1, ... since only their times matter here, unless
+    ``words`` spells them."""
+    names = iter(words.split()) if words is not None else (f"s{i}" for i in itertools.count())
     built = []
-    counter = 0
     for times, ref_text in segments:
-        tokens = []
-        for t in times:
-            tokens.append(TimedToken(f"s{counter}", t))
-            counter += 1
-        built.append(ReferenceSegment(tuple(tokens), ref_text))
+        built.append(ReferenceSegment(tuple(TimedToken(next(names), t) for t in times), ref_text))
     return ReferenceDocument(tuple(built))
 
 
@@ -175,7 +174,7 @@ def test_erasure_and_finalization_match_their_tokenizing_oracles(log):
     # The fold holds the finalization of every prefix of the log, not just of the whole.
     fold, events = DisplayFold(), log.events
     for count, event in enumerate(events, 1):
-        fold.add(event.output_text, common_prefix_length(fold.display, event.output_text))
+        fold.add(event.output_text, lcp_len(fold.display, event.output_text))
         prefix = EventLog(events[:count])
         assert fold.erased == tokenizing_erasure(prefix)
         assert tuple(fold.changed) == latency_oracle.finalization(prefix).event_indices
@@ -271,8 +270,8 @@ def test_lag_can_be_negative():
 
 
 def test_lag_rejects_empty_final_output():
-    doc = make_document(([1.0], "w"))
-    log = build_log((1.0, "s0", "w"), (2.0, "s0 x", ""))
+    doc = make_document(([1.0, 1.5], "w"))
+    log = build_log((1.0, "s0", "w"), (2.0, "s0 s1", ""))
     with pytest.raises(ValueError, match="lag is undefined for an empty final translation"):
         token_lags(log, doc)
 
@@ -285,8 +284,9 @@ def test_lag_rejects_empty_final_output():
 def scored_sessions(draw):
     """A multi-segment document and a session over it.  Outputs may be
     shorter than the segment count (empty pieces) or longer than a
-    segment's source (positions clamp to the segment end), and the final
-    source may be shorter or longer than the timed one."""
+    segment's source (positions clamp to the segment end).  Earlier sources
+    may be shorter or longer than the timed one; the final one is the
+    document's source."""
     times = iter(sorted(draw(st.lists(st.integers(0, 60), min_size=4, max_size=16))))
     segments = []
     for _ in range(draw(st.integers(1, 4))):
@@ -296,9 +296,11 @@ def scored_sessions(draw):
     doc = make_document(*segments)
     log = EventLog()
     clock = 0.0
-    for _ in range(draw(st.integers(1, 8))):
+    events = draw(st.integers(1, 8))
+    for index in range(events):
         clock += draw(st.integers(0, 20)) / 10.0
-        source = " ".join(f"s{i}" for i in range(draw(st.integers(0, 12))))
+        words = sum(len(times) for times, _ in segments) if index == events - 1 else draw(st.integers(0, 12))
+        source = " ".join(f"s{i}" for i in range(words))
         output = " ".join(draw(st.lists(st.sampled_from("pqrs"), max_size=12)))
         log = append_event(log, Event(clock, source, output))
     return log, doc
@@ -352,6 +354,39 @@ def test_lag_matches_the_record_oracle(session):
             token_lags(log, doc)
         return
     assert token_lags(log, doc) == latency_oracle.token_lags(log, doc)
+
+
+# ---------------------------------------------------------------------------
+# A session scored against the reference of another source
+
+
+_SCORING_ENTRY_POINTS = [evaluate_all, token_lags, correspondence, evaluate_quality]
+
+
+@pytest.mark.parametrize("entry_point", _SCORING_ENTRY_POINTS)
+def test_a_log_scored_against_another_documents_reference_raises(toy_model, toy_documents, entry_point):
+    documents = {name: (transcript, reference) for name, transcript, reference in toy_documents}
+    config = DecoderConfig(beam_size=2, bias_weight=0.5, mask_length=2)
+    log = run_simulation(documents["news.jsonl"][0], toy_model, config)
+    message = (
+        "the source (22 tokens) differs from the reference's source (19 tokens) at token 1: 'die' instead of 'das'"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry_point(log, documents["games.jsonl"][1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(session=scored_sessions(), source=st.lists(st.sampled_from(["s0", "s1", "s2", "x"]), max_size=6))
+def test_every_session_over_another_source_raises_from_every_entry_point(session, source):
+    # The drawn session ends on its document's source; one more event, at
+    # the same time and output, moves it to ``source``.
+    log, doc = session
+    assume(source != tokenize(log[-1].source_text))
+    log = append_event(log, Event(log[-1].time, " ".join(source), log[-1].output_text))
+    message = source_mismatch(source, doc)
+    for entry_point in _SCORING_ENTRY_POINTS:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry_point(log, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +452,7 @@ def test_quality_splits_before_scoring():
 
 def test_quality_of_empty_output_is_zero():
     doc = make_document(([1.0, 2.0, 3.0, 4.0], "the dish tastes good"))
-    log = build_log((1.0, "s0", ""))
+    log = build_log((1.0, "s0 s1 s2 s3", ""))
     assert evaluate_quality(log, doc) == 0.0
 
 
@@ -427,7 +462,7 @@ def test_quality_of_empty_output_is_zero():
 
 def test_evaluate_all_is_consistent_with_parts(session_log):
     doc = make_document(
-        ([1.0, 1.6, 2.2, 3.1, 3.9], "New drugs may slow ovarian cancer"),
+        ([1.0, 1.6, 2.2, 3.1, 3.9], "New drugs may slow ovarian cancer"), words=session_log[-1].source_text
     )
     report = evaluate_all(session_log, doc)
     assert report.bleu == evaluate_quality(session_log, doc)
@@ -463,7 +498,9 @@ def test_evaluate_all_segments_and_tokenizes_the_final_translation_once(monkeypa
 
 
 def test_report_round_trips_through_json(tmp_path, session_log):
-    doc = make_document(([1.0, 1.6, 2.2, 3.1, 3.9], "New drugs may slow ovarian cancer"))
+    doc = make_document(
+        ([1.0, 1.6, 2.2, 3.1, 3.9], "New drugs may slow ovarian cancer"), words=session_log[-1].source_text
+    )
     report = evaluate_all(session_log, doc)
     path = tmp_path / "report.json"
     save_report(report, path)
