@@ -360,11 +360,3 @@ def biased_beam_search(
     finished = [hyp for hyp in beam if not hyp[3]]
     return min(finished or beam)[2]
 
-
-def mask_tail(tokens: Sequence[str], mask_length: int) -> tuple[str, ...]:
-    """Hold back the last ``mask_length`` tokens of the translation of a
-    source sentence that is still growing.  A completed sentence is frozen
-    unmasked, so only the live sentence goes through here."""
-    if mask_length < 0:
-        raise ValueError(f"mask_length must be >= 0, got {mask_length}")
-    return tuple(tokens[: max(0, len(tokens) - mask_length)])

@@ -284,12 +284,11 @@ def format_seconds(value: float) -> str:
 def _escaped_body(text: str, cut: int, tail: str, body: bytes) -> tuple[str, bytes]:
     """``text`` cut after ``cut`` characters and extended by ``tail``, and that
     text as an unquoted UTF-8 JSON string, where ``body`` is ``text``'s.  Escaping
-    and encoding act per character, so a ``tail`` that extends all of ``text``
-    only appends to ``body``."""
-    if cut == len(text):
-        return text + tail, body + encode_basestring(tail)[1:-1].encode("utf-8")
-    text = text[:cut] + tail
-    return text, encode_basestring(text)[1:-1].encode("utf-8")
+    and encoding act per character, so the cut drops from ``body`` the bytes
+    that the part cut off escapes to, and only that part and ``tail`` are escaped."""
+    if cut < len(text):
+        body = body[:len(body) - len(encode_basestring(text[cut:])[1:-1].encode("utf-8"))]
+    return text[:cut] + tail, body + encode_basestring(tail)[1:-1].encode("utf-8")
 
 
 def save_event_log(log: EventLog, path: str | Path) -> None:

@@ -17,7 +17,7 @@ from .align import lcp_len
 from .decoder import DecoderConfig, ScoringModel
 from .eventlog import replacing_file
 from .metrics import DisplayFold, ReferenceDocument, Scorer, Tally
-from .pipeline import SessionState, TimedTranscript, advance, display_text, event_time
+from .pipeline import SessionState, TimedTranscript, advance, display_texts, event_time
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,9 +48,11 @@ def sweep(
     The mask only changes the display: the search is biased toward the
     previous *unmasked* translation.  So each (bias weight, document) pair
     is decoded once, and each decoded state is shown under every mask
-    length into that length's :class:`~retrans.metrics.DisplayFold`, added
-    with the events' times to that length's :class:`~retrans.metrics.Tally`
-    as soon as the document ends.  It is scored through
+    length in one :func:`~retrans.pipeline.display_texts` call.  Each display
+    goes into that length's :class:`~retrans.metrics.DisplayFold`; one equal
+    to the last folds as erasure 0, with nothing compared or tokenized.  As
+    the document ends, each fold goes with the event times, stamped once per
+    document, into that length's :class:`~retrans.metrics.Tally`, scored through
     :class:`~retrans.metrics.Scorer`, as ``evaluate_all`` scores a session:
     each reference is prepared once per sweep, and each distinct final
     translation of a document is segmented once for both BLEU and lag.
@@ -83,26 +85,27 @@ def sweep(
             scorers.append(Scorer(reference, [tok.token for tok in transcript.tokens]))
         except ValueError as exc:
             raise ValueError(f"document {name}: {exc}") from None
+    event_times = [[event_time(token.time, 0.0) for token in transcript.tokens] for _, transcript, _ in documents]
     rows = []
     for bias_weight in bias_weights:
         config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight)
         tallies = {mask_length: Tally() for mask_length in mask_lengths}
-        for (name, transcript, _), scorer in zip(documents, scorers):
+        for (name, transcript, _), scorer, times in zip(documents, scorers, event_times):
             folds = {mask_length: DisplayFold() for mask_length in tallies}
-            event_times = []
             state = SessionState()
             try:
                 for token in transcript.tokens:
                     state = advance(state, (token,), model, config)
-                    event_times.append(event_time(state, 0.0))
-                    for mask_length, fold in folds.items():
-                        display = display_text(state, mask_length)
-                        fold.add(display, lcp_len(fold.display, display))
+                    for fold, display in zip(folds.values(), display_texts(state, mask_lengths)):
+                        if display == fold.display:  # nothing erased and no token changed: nothing to fold
+                            fold.erased.append(0)
+                        else:
+                            fold.add(display, lcp_len(fold.display, display))
             except ValueError as exc:
                 raise ValueError(f"sweep failed at beta={bias_weight!r} document={name}: {exc}") from None
             for mask_length, fold in folds.items():
                 try:
-                    tallies[mask_length].add(fold, event_times, scorer)
+                    tallies[mask_length].add(fold, times, scorer)
                 except ValueError as exc:
                     raise ValueError(
                         f"sweep failed at beta={bias_weight!r} k={mask_length} document={name}: {exc}"

@@ -2,8 +2,8 @@
 viewer would have seen.
 
 Only the last, possibly still incomplete sentence, the live sentence, is
-ever (re)translated, and each step splits only its words plus the fed
-tokens: every cut before it is final.  Completed sentences are
+ever (re)translated, and each step splits only the fed tokens: the live
+sentence holds no cut, and every cut before it is final.  Completed sentences are
 translated once more with the end of the sentence in view, then frozen:
 their translations never change again.  The display is the frozen
 translations followed by the masked translation of the live sentence, and
@@ -20,11 +20,11 @@ translation.  The state carries the live sentence's search rounds (a
 :class:`~retrans.decoder.BeamMemo`), so under a model that declares its
 look-ahead a retranslation redoes only the rounds whose source context or
 bias target changed since the last one: with one-word feeds, three rounds
-a word while the translation only grows.  :func:`display_text` masks the
+a word while the translation only grows.  :func:`display_texts` masks the
 live tail and :func:`event_time` stamps the event.  The mask only changes
 what is shown, never what is decoded, so one decoded session serves every
 mask length: ``sweep`` decodes each (bias weight, document) pair once and
-displays it under each of its mask lengths.
+displays each state under all of its mask lengths in one call.
 
 The timed transcript is read from JSONL (:func:`load_transcript`) or from
 caption cues (:func:`load_captions`).
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .decoder import BeamMemo, DecoderConfig, ScoringModel, biased_beam_search, mask_tail
+from .decoder import BeamMemo, DecoderConfig, ScoringModel, biased_beam_search
 from .eventlog import (
     Event,
     EventLog,
@@ -147,11 +147,11 @@ def split_sentences(tokens: Sequence[str]) -> tuple[list[list[str]], bool]:
 
 @dataclass(frozen=True, slots=True)
 class SessionState:
-    """What the next :func:`advance` reads, and what :func:`display_text`
+    """What the next :func:`advance` reads, and what :func:`display_texts`
     shows.
 
     ``live`` holds the words of the incomplete last sentence (empty once it
-    is complete), the only words the next split reads, and ``last_time``
+    is complete), so none of them ends a sentence, and ``last_time``
     the time of the last fed word (0.0 before the first feed).
     ``source_text`` joins every word fed so far by single spaces, and
     ``frozen_text`` is every frozen translation token, completed sentence
@@ -186,20 +186,23 @@ def advance(
     Sentences completed by this feed are translated one last time with the
     sentence end in view (still biased toward their previous translation)
     and frozen.  The last sentence, if incomplete, is retranslated biased
-    toward its own previous unmasked translation.  Sentence 0, the live
-    sentence plus the fed tokens, resumes its search from ``state.memo``;
+    toward its own previous unmasked translation.  Only the fed tokens are
+    split: ``state.live`` holds no cut, so it goes in front of the feed's
+    first sentence, sentence 0, which resumes its search from ``state.memo``;
     a sentence that starts in this feed searches from round 0, into a
     fresh memo that the new state keeps if it is the live one.
     """
-    # Only the fed tokens need checking: earlier feeds were checked when fed.
-    new_tokens = TimedTranscript(tuple(new_tokens)).tokens
+    for prev, cur in zip(new_tokens, new_tokens[1:]):  # earlier feeds were checked when fed
+        if cur.time < prev.time:
+            raise ValueError("transcript times must be non-decreasing")
     if not new_tokens:
         raise ValueError("step needs at least one new token")
     if new_tokens[0].time < state.last_time:
         raise ValueError("new tokens must not precede the transcript seen so far")
 
-    fed = tuple(tok.token for tok in new_tokens)
-    sentences, last_complete = split_sentences(state.live + fed)  # the frozen prefix ends at a cut
+    fed = [tok.token for tok in new_tokens]
+    sentences, last_complete = split_sentences(fed)
+    sentences[0][:0] = state.live
 
     frozen_text = state.frozen_text
     previous_unmasked: tuple[str, ...] = ()
@@ -231,18 +234,20 @@ def advance(
     return SessionState(live, new_tokens[-1].time, source_text, frozen_text, previous_unmasked, memo)
 
 
-def event_time(state: SessionState, delay: float) -> float:
-    """The time of the event after ``state``'s last feed: the last fed time
-    plus ``delay``, to the millisecond :func:`~retrans.eventlog.save_event_log`
+def event_time(last_time: float, delay: float) -> float:
+    """The time of the event after a feed whose last word was spoken at
+    ``last_time``, plus ``delay``, to the millisecond :func:`~retrans.eventlog.save_event_log`
     writes, so a saved and reloaded log equals the one in memory."""
-    return float(format_seconds(state.last_time + delay))
+    return float(format_seconds(last_time + delay))
 
 
-def display_text(state: SessionState, mask_length: int) -> str:
-    """What the viewer sees after ``state``'s last feed: the frozen
-    translations, then the live one without its last ``mask_length`` tokens."""
-    live = mask_tail(state.previous_unmasked, mask_length)
-    return state.frozen_text + " ".join(live) if live else state.frozen_text[:-1]
+def display_texts(state: SessionState, mask_lengths: Sequence[int]) -> list[str]:
+    """What the viewer sees after ``state``'s last feed, per mask length ``k``: the
+    frozen translations, then the live one without its last ``k`` tokens (``k`` < 0 raises)."""
+    if min(mask_lengths, default=0) < 0:
+        raise ValueError(f"mask_length must be >= 0, got {min(mask_lengths)}")
+    live, frozen_text = state.previous_unmasked, state.frozen_text
+    return [frozen_text + " ".join(live[:len(live) - k]) if len(live) > k else frozen_text[:-1] for k in mask_lengths]
 
 
 def step(
@@ -253,10 +258,11 @@ def step(
     delay: float = 0.0,
 ) -> tuple[SessionState, Event]:
     """Feed freshly recognized tokens, retranslate (:func:`advance`) and
-    show the result under ``config.mask_length`` (:func:`display_text`) at
+    show the result under ``config.mask_length`` (:func:`display_texts`) at
     :func:`event_time`.  Returns the new state and the logged event."""
     state = advance(state, new_tokens, model, config)
-    return state, Event(event_time(state, delay), state.source_text, display_text(state, config.mask_length))
+    (display,) = display_texts(state, (config.mask_length,))
+    return state, Event(event_time(state.last_time, delay), state.source_text, display)
 
 
 def run_simulation(

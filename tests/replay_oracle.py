@@ -6,9 +6,9 @@ Each step re-splits and re-joins every source word and every frozen token,
 and the events are kept whole, in a plain tuple, from which the validating
 ``EventLog`` constructor builds the log at the end.  Slow (quadratic in the
 session), but obviously right.  The
-sentence splitter is its own, so the live-sentence carry of
+sentence splitter is its own, so the feed-only split of
 :func:`retrans.pipeline.advance` is checked against a whole-prefix split
-that shares no code with it.
+that shares no code with it, and so is the mask: a literal slice.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from retrans.decoder import DecoderConfig, ScoringModel, biased_beam_search, mask_tail
+from retrans.decoder import DecoderConfig, ScoringModel, biased_beam_search
 from retrans.eventlog import Event, EventLog, TimedToken
 from retrans.pipeline import TimedTranscript
 
@@ -91,7 +91,7 @@ def step(
             frozen.append(translated)
         else:
             previous_unmasked = translated
-            live = mask_tail(translated, config.mask_length)
+            live = translated[:max(0, len(translated) - config.mask_length)]
 
     next_state = SessionState(transcript, tuple(frozen), live, previous_unmasked)
     event = Event(

@@ -29,9 +29,9 @@ from retrans import (
     tokenize,
 )
 from retrans.align import mwer_segment
-from retrans.decoder import biased_beam_search, mask_tail
+from retrans.decoder import biased_beam_search
 from retrans.metrics import bleu_corpus, erasure, finalization, normalized_erasure
-from retrans.pipeline import SessionState, split_sentences, step
+from retrans.pipeline import SessionState, display_texts, split_sentences, step
 
 from conftest import TOY_DIR, build_log
 from test_align import brute_force_segment
@@ -182,15 +182,16 @@ def test_mask_contract_on_fixtures(toy_model, toy_documents):
                 for cut in range(1, len(sentence) + 1):
                     _, complete = split_sentences(sentence[:cut])
                     translated = biased_beam_search(toy_model, sentence[:cut], complete, config)
-                    for k in (0, 1, 2, 3, 5, 10):
-                        if complete:
-                            # the sentence is frozen unmasked, whatever k is
-                            fed = [TimedToken(word, 0.0) for word in sentence]
+                    ks = (0, 1, 2, 3, 5, 10)
+                    if complete:
+                        # the sentence is frozen unmasked, whatever k is
+                        fed = [TimedToken(word, 0.0) for word in sentence]
+                        for k in ks:
                             _, event = step(SessionState(), fed, toy_model, DecoderConfig(beam_size=2, mask_length=k))
                             assert tuple(event.output_text.split()) == translated
-                        else:
-                            keep = max(0, len(translated) - k)
-                            assert mask_tail(translated, k) == translated[:keep]
+                    else:
+                        shown = display_texts(SessionState(previous_unmasked=translated), ks)
+                        assert shown == [" ".join(translated[: max(0, len(translated) - k)]) for k in ks]
 
 
 # ---------------------------------------------------------------------------

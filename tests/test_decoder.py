@@ -18,9 +18,10 @@ from retrans import (
     pipeline,
     run_simulation,
     save_event_log,
+    tokenize,
 )
-from retrans.decoder import ANY_CONTEXT, END_OF_SOURCE, BeamMemo, _biased_step, biased_beam_search, mask_tail
-from retrans.pipeline import SessionState, TimedTranscript, step
+from retrans.decoder import ANY_CONTEXT, END_OF_SOURCE, BeamMemo, _biased_step, biased_beam_search
+from retrans.pipeline import SessionState, TimedTranscript, display_texts, step
 
 from conftest import DATA_DIR
 
@@ -624,14 +625,15 @@ def test_simulation_log_is_independent_of_the_served_mapping(tmp_path, toy_model
 
 
 def test_mask_holds_back_tail_while_source_incomplete():
-    assert mask_tail(("u", "v", "w"), 2) == ("u",)
-    assert mask_tail(("u", "v", "w"), 0) == ("u", "v", "w")
-    assert mask_tail(("u",), 5) == ()
+    live = SessionState(previous_unmasked=("u", "v", "w"))
+    assert display_texts(live, (2, 0, 5)) == ["u", "u v w", ""]
+    after_frozen = SessionState(frozen_text="F. ", previous_unmasked=("u", "v", "w"))
+    assert display_texts(after_frozen, (2, 0, 5)) == ["F. u", "F. u v w", "F."]
 
 
 def test_mask_is_inert_once_source_complete():
-    # Only the live sentence goes through mask_tail: step freezes a
-    # completed sentence in full, whatever the mask length.
+    # Only the live sentence is masked: step freezes a completed sentence in
+    # full, whatever the mask length.
     identity, config = TableModel({}), DecoderConfig(beam_size=2, mask_length=2)
     _, live = step(SessionState(), [TimedToken(w, 0.0) for w in ("u", "v", "w")], identity, config)
     _, done = step(SessionState(), [TimedToken(w, 0.0) for w in ("u", "v", "w.")], identity, config)
@@ -639,12 +641,22 @@ def test_mask_is_inert_once_source_complete():
 
 
 def test_mask_rejects_negative_length():
-    with pytest.raises(ValueError):
-        mask_tail(("u",), -1)
+    with pytest.raises(ValueError, match=r"^mask_length must be >= 0, got -1$"):
+        display_texts(SessionState(previous_unmasked=("u",)), (1, -1))
 
 
-@given(st.lists(st.sampled_from("uvw"), max_size=10), st.integers(min_value=0, max_value=12))
-def test_mask_is_a_prefix_of_expected_length(tokens, mask_length):
-    masked = mask_tail(tokens, mask_length)
-    assert masked == tuple(tokens[: len(masked)])
-    assert len(masked) == max(0, len(tokens) - mask_length)
+@given(
+    st.lists(st.sampled_from("uvw"), max_size=10),
+    st.lists(st.integers(min_value=0, max_value=12), max_size=4),
+    st.sampled_from(["", "F. ", "F. G! "]),
+)
+def test_mask_is_a_prefix_of_expected_length(tokens, mask_lengths, frozen_text):
+    state = SessionState(frozen_text=frozen_text, previous_unmasked=tuple(tokens))
+    shown = display_texts(state, mask_lengths)
+    assert len(shown) == len(mask_lengths)
+    frozen = tokenize(frozen_text)
+    for mask_length, display in zip(mask_lengths, shown):
+        masked = tokenize(display)[len(frozen):]
+        assert masked == tokens[: len(masked)]
+        assert len(masked) == max(0, len(tokens) - mask_length)
+        assert display == " ".join(frozen + masked)

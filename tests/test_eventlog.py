@@ -287,6 +287,25 @@ def test_save_matches_the_whole_snapshot_writer(tmp_path_factory, data):
     assert load_event_log(directory / "log.jsonl") == log
 
 
+@pytest.mark.parametrize(
+    "special", ['"', "\\", "\x00", "\n", "\x1f", "\U0001f600"], ids=["quote", "backslash", "nul", "newline", "us", "non_bmp"]
+)
+def test_save_matches_the_whole_snapshot_writer_on_cuts_next_to_escaped_characters(tmp_path, special):
+    # Every revision cuts one text at each of its characters, so some cut
+    # right after a character whose escape or UTF-8 form is longer than one
+    # byte: the writer must drop exactly that many bytes from the line.
+    base = f"a{special}b{special}{special}"
+    log, clock = EventLog(), 0.0
+    for cut in range(len(base) + 1):
+        for text in (base, base[:cut] + "c" + special):
+            clock += 0.5
+            log = append_event(log, Event(clock, text, text[::-1]))
+    save_event_log(log, tmp_path / "log.jsonl")
+    eventlog_oracle.save_event_log(log, tmp_path / "oracle.jsonl")
+    assert (tmp_path / "log.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+    assert load_event_log(tmp_path / "log.jsonl") == log
+
+
 def _assert_holds(log: EventLog, events: tuple[Event, ...]) -> None:
     assert len(log) == len(events)
     assert bool(log) == bool(events)

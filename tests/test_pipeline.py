@@ -204,11 +204,11 @@ def test_deep_mask_never_erases(toy_model, toy_documents):
 
 
 # ---------------------------------------------------------------------------
-# Split work: a step splits its live sentence and its feed, never the prefix
+# Split work: a step splits only its feed, never the live sentence or the prefix
 
 
 @pytest.mark.parametrize("chunk_size", [1, 3])
-def test_a_step_splits_only_the_live_sentence_and_the_feed(monkeypatch, toy_model, toy_documents, chunk_size):
+def test_a_step_splits_only_its_feed(monkeypatch, toy_model, toy_documents, chunk_size):
     tokens, offset = [], 0.0
     for _, transcript, _ in toy_documents:
         tokens.extend(TimedToken(tok.token, tok.time + offset) for tok in transcript.tokens)
@@ -234,7 +234,7 @@ def test_a_step_splits_only_the_live_sentence_and_the_feed(monkeypatch, toy_mode
     expected_tokens, expected_live, live = [], [], []
     for start in range(0, len(tokens), chunk_size):
         feed = [tok.token for tok in tokens[start:start + chunk_size]]
-        expected_tokens.append(len(live) + len(feed))
+        expected_tokens.append(len(feed))
         for word in feed:
             live = [] if word[-1] in ".!?" else live + [word]
         expected_live.append(tuple(live))
@@ -245,7 +245,7 @@ def test_a_step_splits_only_the_live_sentence_and_the_feed(monkeypatch, toy_mode
 # ---------------------------------------------------------------------------
 # Differential test: the running-text replay against the rebuilding one
 
-_SOURCE_WORDS = ("a", "b", "c", "a.", "b?", "c!")
+_SOURCE_WORDS = ("a", "b", "c", "a.", "b?", "c!", ".", "?!")
 _CONTEXTS = (ANY_CONTEXT, END_OF_SOURCE, "a", "b", "c", "a.")
 # EMPTY and EOS_TOKEN make empty tokens and empty or short translations.
 _TARGETS = ("X", "Y", "Z.", "W", "EMPTY", EOS_TOKEN)
