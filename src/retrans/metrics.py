@@ -166,10 +166,10 @@ def normalized_erasure(log: EventLog) -> float:
     """Total erasure per token of final output."""
     if not log:
         raise ValueError("normalized erasure needs at least one event")
-    final_len = len(tokenize(log[-1].output_text))
-    if final_len == 0:
+    fold = _fold(log)
+    if not fold.changed:  # one entry per final token
         raise ValueError("normalized erasure is undefined for an empty final translation")
-    return sum(erasure(log)) / final_len
+    return sum(fold.erased) / len(fold.changed)
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +207,6 @@ def correspondence(log: EventLog, doc: ReferenceDocument) -> tuple[float, ...]:
     return Scorer(doc, tokenize(log[-1].source_text)).final(log[-1].output_text)[1]
 
 
-def spoken_times(positions: Sequence[float], times: Sequence[float]) -> list[float]:
-    """The spoken time of each source position: a fractional one (clamped,
-    so it has a right neighbour in its segment) interpolates linearly
-    between its two neighbouring source token ``times``."""
-    spoken = []
-    for position in positions:
-        base = int(math.floor(position))
-        frac = position - base
-        spoken.append(times[base] if frac == 0.0 else times[base] * (1.0 - frac) + times[base + 1] * frac)
-    return spoken
-
-
 def token_lags(log: EventLog, doc: ReferenceDocument) -> list[float]:
     """Per-token lag: finalization time minus the spoken time of the
     corresponding source position.
@@ -228,14 +216,6 @@ def token_lags(log: EventLog, doc: ReferenceDocument) -> list[float]:
     commits to a token before its source words are fully spoken.
     """
     return list(evaluate_all(log, doc).per_token_lag)
-
-
-def lags_at(changed: Sequence[int], event_times: Sequence[float], spoken: Sequence[float]) -> list[float]:
-    """:func:`token_lags` from a :class:`DisplayFold`'s ``changed`` indices
-    into ``event_times``, and the final tokens' :func:`spoken_times`."""
-    if not changed:
-        raise ValueError("lag is undefined for an empty final translation")
-    return [event_times[index - 1] - time for index, time in zip(changed, spoken)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +293,7 @@ class Scorer:
     text's BLEU statistics and its tokens' source positions for lag."""
 
     def __init__(self, reference: ReferenceDocument, source: list[str]) -> None:
-        tokens = [token for segment in reference.segments for token in segment.source_tokens]
-        expected = [token.token for token in tokens]
+        expected = [token.token for segment in reference.segments for token in segment.source_tokens]
         if source != expected:
             at = lcp_len(source, expected)
             seen = repr(source[at]) if at < len(source) else "no token"
@@ -327,24 +306,30 @@ class Scorer:
         self.ref_counts = [ngram_counts(ref) for ref in self.refs]
         self.ref_len = sum(len(ref) for ref in self.refs)
         self.source_lens = [len(segment.source_tokens) for segment in reference.segments]
-        self.times = [token.time for token in tokens]
+        self.times = reference.source_times()
         self.finals: dict[str, tuple[list[int], tuple[float, ...], list[float]]] = {}
 
     def final(self, text: str) -> tuple[list[int], tuple[float, ...], list[float]]:
-        """The :func:`bleu_statistics` of a final translation, and per token
-        its :func:`correspondence` and its :func:`spoken_times`."""
+        """The :func:`bleu_statistics` of a final translation and, per token, its
+        :func:`correspondence` and the time that position was spoken: a fractional
+        (clamped) one interpolates linearly between its two neighbouring source times."""
         if text not in self.finals:
             hyp = tokenize(text)
             pieces = split_by_boundaries(hyp, mwer_segment(hyp, self.refs).boundaries)
+            times = self.times
             positions = []
+            spoken = []
             source_start = 0
             for piece, src_len in zip(pieces, self.source_lens):
                 for offset in range(len(piece)):
-                    position = offset * src_len / len(piece) + source_start
-                    positions.append(min(max(position, float(source_start)), float(source_start + src_len - 1)))
+                    position = min(offset * src_len / len(piece) + source_start, float(source_start + src_len - 1))
+                    base = int(position)  # positions are never negative
+                    frac = position - base
+                    positions.append(position)
+                    spoken.append(times[base] if frac == 0.0 else times[base] * (1.0 - frac) + times[base + 1] * frac)
                 source_start += src_len
             statistics = bleu_statistics(pieces, self.ref_counts)
-            self.finals[text] = (statistics, tuple(positions), spoken_times(positions, self.times))
+            self.finals[text] = (statistics, tuple(positions), spoken)
         return self.finals[text]
 
 
@@ -376,9 +361,13 @@ class Tally:
     def add(self, fold: DisplayFold, event_times: Sequence[float], scorer: Scorer) -> None:
         """Add one session: its displays folded, the time of each of its
         events, and the scorer of its reference.  Its final display is
-        scored through ``scorer``, whose segmentation also places the lags."""
+        scored through ``scorer``, which also gives each final token's
+        spoken time; its lag is the time of the event that last changed it
+        (``fold.changed``) minus that spoken time."""
         statistics, _, spoken = scorer.final(fold.display)
-        lags = lags_at(fold.changed, event_times, spoken)
+        if not fold.changed:
+            raise ValueError("lag is undefined for an empty final translation")
+        lags = [event_times[index - 1] - time for index, time in zip(fold.changed, spoken)]
         self.statistics = [pooled + more for pooled, more in zip(self.statistics, statistics)]
         self.ref_len += scorer.ref_len
         self.lags += lags

@@ -30,8 +30,7 @@ def build_log(*events: tuple[float, str, str]) -> EventLog:
     return log
 
 
-@pytest.fixture
-def session_log() -> EventLog:
+def worked_session_log() -> EventLog:
     """A short session whose metric values are known by hand: the display
     grows twice, then one verb is revised which retracts three tokens."""
     return build_log(
@@ -39,6 +38,11 @@ def session_log() -> EventLog:
         (3.5, "Neue Arzneimittel könnten Eierstockkrebs", "New Medicines may be ovarian cancer"),
         (4.2, "Neue Arzneimittel könnten Eierstockkrebs verlangsamen", "New Medicines may slow ovarian cancer"),
     )
+
+
+@pytest.fixture
+def session_log() -> EventLog:
+    return worked_session_log()
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from retrans.decoder import EOS_TOKEN, DecoderConfig, ScoringModel, _biased_step
+from retrans.decoder import EOS_TOKEN, DecoderConfig, ScoringModel
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,8 +44,10 @@ def biased_beam_search(
 
     While a hypothesis has followed the previous translation exactly and
     has not outgrown it, each step's distribution is mixed with a point
-    mass on the previous translation's next token (see :func:`_biased_step`);
-    after the first divergence the model distribution applies unchanged.
+    mass on the previous translation's next token: every probability is
+    scaled by (1 - weight) and that token gains weight on top, even where
+    the model gives it no mass.  After the first divergence the model
+    distribution applies unchanged.
     Scores are accumulated log probabilities of the mixed distributions.
 
     Finished hypotheses stay in the beam and compete by score.  The search
@@ -74,7 +76,10 @@ def biased_beam_search(
             dist = model.next_distribution(source, source_complete, hyp.tokens)
             position = len(hyp.tokens)
             biased = weight > 0.0 and hyp.following_previous and position < len(previous)
-            step = _biased_step(dist, previous[position], weight) if biased else dist
+            step = dist
+            if biased:
+                step = {token: (1.0 - weight) * prob for token, prob in dist.items()}
+                step[previous[position]] = step.get(previous[position], 0.0) + weight
             for token, prob in step.items():
                 if prob <= 0.0:
                     continue

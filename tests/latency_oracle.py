@@ -3,7 +3,9 @@ sequences :mod:`retrans.metrics` computes lag from.
 
 Finalization returns each final token's event index and time, and
 correspondence returns one six-field record per final token, of which lag
-reads only the source position.
+reads only the source position.  The final translation is segmented by
+:func:`test_align.full_table_segment` and cut by hand, so no live
+segmentation code is trusted.
 """
 
 from __future__ import annotations
@@ -13,9 +15,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from erasure_oracle import common_prefix_len
-from retrans.align import mwer_segment, split_by_boundaries
 from retrans.eventlog import EventLog, tokenize
 from retrans.metrics import ReferenceDocument
+from test_align import full_table_segment
+
+
+def segment(hyp: list[str], refs: list[list[str]]) -> list[list[str]]:
+    """``hyp`` cut into one piece per reference segment, where the full-table segmenter cuts it."""
+    cuts = [0, *full_table_segment(hyp, refs).boundaries, len(hyp)]
+    return [hyp[start:end] for start, end in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +70,7 @@ def correspondence(log: EventLog, doc: ReferenceDocument) -> CorrespondenceMap:
         raise ValueError("correspondence needs at least one event")
     hyp = tokenize(log[-1].output_text)
     refs = doc.reference_token_segments()
-    pieces = split_by_boundaries(hyp, mwer_segment(hyp, refs).boundaries)
+    pieces = segment(hyp, refs)
     source_lens = [len(seg.source_tokens) for seg in doc.segments]
 
     records = []

@@ -8,7 +8,9 @@ and the events are kept whole, in a plain tuple, from which the validating
 session), but obviously right.  The
 sentence splitter is its own, so the feed-only split of
 :func:`retrans.pipeline.advance` is checked against a whole-prefix split
-that shares no code with it, and so is the mask: a literal slice.
+that shares no code with it, and so is the mask: a literal slice.  The
+search is :mod:`decoder_oracle`'s, so the resuming live search is not
+trusted either.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from retrans.decoder import DecoderConfig, ScoringModel, biased_beam_search
+from decoder_oracle import biased_beam_search
+from retrans.decoder import DecoderConfig, ScoringModel
 from retrans.eventlog import Event, EventLog, TimedToken
 from retrans.pipeline import TimedTranscript
 

@@ -5,13 +5,13 @@ own, kept as the oracle for :func:`retrans.grid.sweep`, which decodes each
 Each setting replays every document through :mod:`replay_oracle`'s
 rebuilding ``run_simulation``, so neither the decode/display split of
 :mod:`retrans.pipeline` nor the mask fan-out is trusted.  Each session is
-segmented on its own by :func:`test_align.full_table_segment`, cut by hand,
-and its pieces pooled for :mod:`bleu_oracle`, so neither the live
-segmenter, nor the per-document memo of final translations, nor pooled BLEU
-statistics are trusted either.  Lag comes from :mod:`latency_oracle` and
-erasure from :mod:`erasure_oracle`, so the display fold is not trusted, and
-the repeat and source checks are spelled out here.  Slow (|k| times the decoding), but
-obviously right.
+segmented on its own by :func:`test_align.full_table_segment`, cut by hand
+(``latency_oracle.segment``), and its pieces pooled for :mod:`bleu_oracle`,
+so neither the live segmenter, nor the per-document memo of final
+translations, nor pooled BLEU statistics are trusted either.  Lag comes
+from :mod:`latency_oracle` and erasure from :mod:`erasure_oracle`, so the
+display fold is not trusted, and the repeat and source checks are spelled
+out here.  Slow (|k| times the decoding), but obviously right.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from retrans.eventlog import tokenize
 from retrans.grid import SweepRow
 from retrans.metrics import ReferenceDocument
 from retrans.pipeline import TimedTranscript
-from test_align import full_table_segment
 
 
 def source_mismatch(words: list[str], reference: ReferenceDocument) -> str | None:
@@ -54,11 +53,6 @@ def check_source(name: str, words: list[str], reference: ReferenceDocument) -> N
     message = source_mismatch(words, reference)
     if message is not None:
         raise ValueError(f"document {name}: {message}")
-
-
-def segment(hyp: list[str], refs: list[list[str]]) -> list[list[str]]:
-    cuts = [0, *full_table_segment(hyp, refs).boundaries, len(hyp)]
-    return [hyp[start:end] for start, end in zip(cuts, cuts[1:])]
 
 
 def sweep(
@@ -96,7 +90,7 @@ def sweep(
                     log = replay_oracle.run_simulation(transcript, model, config)
                     hyp = tokenize(log[-1].output_text) if log else []
                     refs = reference.reference_token_segments()
-                    pooled_pieces.extend(segment(hyp, refs))
+                    pooled_pieces.extend(latency_oracle.segment(hyp, refs))
                     pooled_refs.extend(refs)
                     pooled_lags.extend(latency_oracle.token_lags(log, reference))
                     erased += sum(tokenizing_erasure(log))

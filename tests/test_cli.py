@@ -8,7 +8,7 @@ import re
 import shutil
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import eventlog_oracle
 import retrans.metrics
@@ -166,13 +166,29 @@ def test_pareto_rejects_a_nan_or_negative_ceiling():
     assert pareto_subset([row], math.inf) == [row]
 
 
-def test_sweep_rows_round_trip_exactly(tmp_path):
-    rng = random.Random(123)
-    rows = random_rows(rng, 12)
-    path = tmp_path / "rows.csv"
-    save_sweep_rows(rows, path)
-    assert read_rows(path) == rows
-    assert path.read_text(encoding="utf-8").splitlines()[0] == "beta,k,bleu,tl,ne"
+def row_bits(row: SweepRow) -> tuple:
+    """A row with each float as ``float.hex``, which tells -0.0 from 0.0."""
+    floats = (row.bias_weight, row.bleu, row.translation_lag, row.normalized_erasure)
+    return (row.mask_length, *(value.hex() for value in floats))
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.builds(SweepRow, FINITE_FLOATS, st.integers(0, 10**9), *[FINITE_FLOATS] * 3)))
+# a negative zero, the least subnormal, the least normal and the two ends of the exponent range
+@example(rows=[SweepRow(-0.0, 0, 5e-324, 1e308, -1e308), SweepRow(0.0, 7, -0.0, -2.2250738585072014e-308, 1e-5)])
+def test_sweep_rows_round_trip_exactly(tmp_path_factory, rows):
+    # Read back with ``csv`` and ``float``, every float is the one saved,
+    # and saving what was read gives the same bytes.
+    directory = tmp_path_factory.mktemp("rows")
+    save_sweep_rows(rows, directory / "rows.csv")
+    assert (directory / "rows.csv").read_text(encoding="utf-8").splitlines()[0] == "beta,k,bleu,tl,ne"
+    read = read_rows(directory / "rows.csv")
+    assert [row_bits(row) for row in read] == [row_bits(row) for row in rows]
+    save_sweep_rows(read, directory / "again.csv")
+    assert (directory / "again.csv").read_bytes() == (directory / "rows.csv").read_bytes()
 
 
 def test_sweep_failure_names_setting_and_document(toy_model, toy_documents):

@@ -40,10 +40,9 @@ from retrans.metrics import (
     token_lags,
 )
 
-from conftest import build_log
+from conftest import build_log, worked_session_log
 from erasure_oracle import tokenizing_erasure
 from sweep_oracle import source_mismatch
-from test_align import full_table_segment
 
 
 def make_document(*segments: tuple[list[float], str], words: str | None = None) -> ReferenceDocument:
@@ -314,10 +313,8 @@ def _oracle_report(log: EventLog, doc: ReferenceDocument) -> MetricsReport:
     erased = tokenizing_erasure(log)
     hyp = tokenize(log[-1].output_text)
     refs = [tokenize(segment.reference_text) for segment in doc.segments]
-    cuts = [0, *full_table_segment(hyp, refs).boundaries, len(hyp)]
-    pieces = [hyp[start:end] for start, end in zip(cuts, cuts[1:])]
     return MetricsReport(
-        bleu=bleu_oracle.bleu_corpus(pieces, refs),
+        bleu=bleu_oracle.bleu_corpus(latency_oracle.segment(hyp, refs), refs),
         translation_lag=math.fsum(lags) / len(lags),
         normalized_erasure=sum(erased) / len(hyp),
         per_event_erasure=tuple(erased),
@@ -460,17 +457,27 @@ def test_quality_of_empty_output_is_zero():
 # Combined report
 
 
-def test_evaluate_all_is_consistent_with_parts(session_log):
-    doc = make_document(
-        ([1.0, 1.6, 2.2, 3.1, 3.9], "New drugs may slow ovarian cancer"), words=session_log[-1].source_text
-    )
-    report = evaluate_all(session_log, doc)
-    assert report.bleu == evaluate_quality(session_log, doc)
-    assert report.normalized_erasure == normalized_erasure(session_log)
-    assert list(report.per_event_erasure) == erasure(session_log)
-    assert list(report.per_token_lag) == token_lags(session_log, doc)
-    final_len = len(tokenize(session_log[-1].output_text))
-    assert sum(report.per_event_erasure) == pytest.approx(report.normalized_erasure * final_len)
+WORKED_LOG = worked_session_log()
+WORKED_DOCUMENT = make_document(
+    ([1.0, 1.6, 2.2, 3.1, 3.9], "New drugs may slow ovarian cancer"), words=WORKED_LOG[-1].source_text
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(session=scored_sessions())
+@example(session=(WORKED_LOG, WORKED_DOCUMENT))
+def test_evaluate_all_is_consistent_with_parts(session):
+    log, doc = session
+    try:
+        report = evaluate_all(log, doc)
+    except ValueError:
+        return  # what each refusal says is pinned by test_lag_matches_the_record_oracle
+    assert report.bleu == evaluate_quality(log, doc)
+    assert report.normalized_erasure == normalized_erasure(log)
+    assert list(report.per_event_erasure) == erasure(log)
+    assert list(report.per_token_lag) == token_lags(log, doc)
+    final_len = len(tokenize(log[-1].output_text))
+    assert report.normalized_erasure == sum(report.per_event_erasure) / final_len
     assert report.translation_lag == math.fsum(report.per_token_lag) / len(report.per_token_lag)
 
 
@@ -497,22 +504,34 @@ def test_evaluate_all_segments_and_tokenizes_the_final_translation_once(monkeypa
     assert [tokenized[segment.reference_text] for segment in doc.segments] == [1] * len(doc.segments)
 
 
-def test_report_round_trips_through_json(tmp_path, session_log):
-    doc = make_document(
-        ([1.0, 1.6, 2.2, 3.1, 3.9], "New drugs may slow ovarian cancer"), words=session_log[-1].source_text
-    )
-    report = evaluate_all(session_log, doc)
-    path = tmp_path / "report.json"
-    save_report(report, path)
-    text = path.read_text(encoding="utf-8")
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# a negative zero, the least subnormal, the least normal and the two ends of the exponent range
+EDGE_FLOATS = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(floats=st.lists(FINITE_FLOATS, min_size=3, max_size=10), erased=st.lists(st.integers(0, 10**9), max_size=6))
+@example(floats=EDGE_FLOATS, erased=[0, 3])
+def test_report_round_trips_through_json(tmp_path_factory, floats, erased):
+    # Read back with ``json``, every float is the one saved, sign of zero
+    # included (``float.hex`` tells -0.0 from 0.0), and saving what was read
+    # gives the same bytes.
+    report = MetricsReport(*floats[:3], per_event_erasure=tuple(erased), per_token_lag=tuple(floats[3:]))
+    directory = tmp_path_factory.mktemp("reports")
+    save_report(report, directory / "report.json")
+    text = (directory / "report.json").read_text(encoding="utf-8")
     assert text.startswith('{"bleu":') and text.endswith("}\n")
-    assert json.loads(text) == {
-        "bleu": report.bleu,
-        "tl": report.translation_lag,
-        "ne": report.normalized_erasure,
-        "erasure": list(report.per_event_erasure),
-        "lags": list(report.per_token_lag),
-    }
+    payload = json.loads(text)
+    assert list(payload) == ["bleu", "tl", "ne", "erasure", "lags"]
+    read = MetricsReport(
+        payload["bleu"], payload["tl"], payload["ne"], tuple(payload["erasure"]), tuple(payload["lags"])
+    )
+    read_floats = (read.bleu, read.translation_lag, read.normalized_erasure, *read.per_token_lag)
+    assert [value.hex() for value in read_floats] == [value.hex() for value in floats]
+    assert read.per_event_erasure == report.per_event_erasure
+    assert all(type(count) is int for count in read.per_event_erasure)
+    save_report(read, directory / "again.json")
+    assert (directory / "again.json").read_bytes() == (directory / "report.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
