@@ -5,7 +5,9 @@ Scoring a tiny re-translation session
 A session is just the list of (time, source so far, output so far)
 snapshots a viewer would have seen.  This one revises itself once:
 "may be" becomes "may slow", which deletes three displayed tokens
-("be ovarian cancer") before writing the correction.
+("be ovarian cancer") before writing the correction.  One call,
+``evaluate_all``, scores it against a timed reference: quality (BLEU),
+stability (erasure) and latency (lag).
 """
 
 from retrans import (
@@ -16,7 +18,6 @@ from retrans import (
     TimedToken,
     evaluate_all,
 )
-from retrans.metrics import erasure, finalization, normalized_erasure
 
 log = EventLog(
     (
@@ -30,16 +31,8 @@ for event in log:
     print(f"t={event.time:<4}  {event.output_text!r}")
 print()
 
-print("tokens erased per event:", erasure(log))
-print("normalized erasure:     ", normalized_erasure(log))
-
-# finalization gives, per final token, the 1-based event it settled at
-print("finalization times:     ", [log[i - 1].time for i in finalization(log)])
-print("(the first two output tokens were stable from the start; everything")
-print(" after them only settled once the correction landed)")
-print()
-
-# against a reference we also get quality and latency
+# The reference gives the translation to score against and the time each
+# source word was spoken.
 document = ReferenceDocument(
     (
         ReferenceSegment(
@@ -55,6 +48,17 @@ document = ReferenceDocument(
     )
 )
 report = evaluate_all(log, document)
+
+print("tokens erased per event:", list(report.per_event_erasure))
+print("normalized erasure:     ", report.normalized_erasure)
+print("(erased tokens per final token: 3 erased over 6 final tokens)")
+print()
+
+# A token's lag is how long after its source was spoken it reached the
+# screen for good: the time of the event from which it never changed again,
+# minus the time its aligned source position was spoken.
 print(f"BLEU            {report.bleu:.2f}   (case-sensitive: 'Medicines' never matches 'medicines')")
-print(f"translation lag {report.translation_lag:.3f}s")
+print(f"translation lag {report.translation_lag:.3f}s   (the mean of the per-token lags)")
 print(f"per-token lags  {[round(lag, 3) for lag in report.per_token_lag]}")
+print("('New Medicines' was final from t=2.0 and 'may' from t=3.5; the last three")
+print(" tokens only settled once the correction landed at t=4.2)")

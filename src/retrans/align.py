@@ -4,7 +4,6 @@ reference segments."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -23,20 +22,6 @@ def lcp_len(a: Sequence, b: Sequence) -> int:
         else:
             bound = middle - 1
     return known
-
-
-@dataclass(frozen=True, slots=True)
-class Segmentation:
-    """Result of :func:`mwer_segment`.
-
-    ``boundaries`` holds one cut index per internal segment border, so its
-    length is one less than the number of reference segments.  Cut ``b``
-    means the hypothesis piece for the next segment starts at token ``b``.
-    Boundaries are non-decreasing and empty pieces are legal.
-    """
-
-    boundaries: tuple[int, ...]
-    total_edit_distance: int
 
 
 def _border_columns(pattern: Sequence[str], texts: Sequence[Sequence[str]]) -> list[tuple[int, int, int]]:
@@ -73,9 +58,12 @@ def _border_columns(pattern: Sequence[str], texts: Sequence[Sequence[str]]) -> l
     return columns
 
 
-def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentation:
+def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> tuple[int, ...]:
     """Split ``hyp`` into one piece per reference segment, minimizing the
-    summed edit distance between each piece and its reference.
+    summed edit distance between each piece and its reference, and return
+    the cuts: one per internal segment border, so one fewer than ``refs``.
+    Cut ``b`` starts the next segment's piece at token ``b``; cuts never
+    decrease and empty pieces are legal.
 
     The search considers every cut position; only cuts between reference
     segments are allowed, which is what makes the result comparable to a
@@ -97,8 +85,6 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentat
     if any(len(ref) == 0 for ref in refs):
         raise ValueError("reference segments must be non-empty")
 
-    hyp = list(hyp)
-    refs = [list(ref) for ref in refs]
     count = len(refs)
     width = len(hyp)
 
@@ -114,7 +100,7 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentat
         vn &= low
         return i + vp.bit_count() - vn.bit_count(), vp, vn
 
-    total = target = suffix(0, 0)[0]
+    target = suffix(0, 0)[0]
     boundaries: list[int] = []
     pos = 0
     for r in range(1, count):
@@ -140,7 +126,7 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> Segmentat
         boundaries.append(j)
         pos = j
         target = rest
-    return Segmentation(tuple(boundaries), total)
+    return tuple(boundaries)
 
 
 def split_by_boundaries(hyp: Sequence[str], boundaries: Sequence[int]) -> list[list[str]]:

@@ -33,7 +33,7 @@ from itertools import islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .align import lcp_len
 
@@ -160,15 +160,15 @@ class EventLog:
 
 
 @contextmanager
-def replacing_file(path: str | Path, binary: bool = False) -> Iterator[IO]:
-    """Open a new file beside ``path`` to write, as bytes through a 1 MiB
-    buffer or as UTF-8 text with ``\\n`` line ends.  When the block ends,
-    the new file replaces ``path`` in one step; if the block raises, the new
-    file is removed.  So ``path`` holds either its old content or all of the
-    new one."""
+def replacing_file(path: str | Path) -> Iterator[BinaryIO]:
+    """Open a new file beside ``path`` to write bytes to through a 1 MiB
+    buffer; every writer in this package writes UTF-8 with ``\\n`` line ends.
+    When the block ends, the new file replaces ``path`` in one step; if the
+    block raises, the new file is removed.  So ``path`` holds either its old
+    content or all of the new one."""
     temp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     # The default 8 KiB buffer would make a write call per few lines of a long event log.
-    handle = open(temp, "xb", 1 << 20) if binary else open(temp, "x", encoding="utf-8", newline="\n")
+    handle = open(temp, "xb", 1 << 20)
     try:
         with handle:
             yield handle
@@ -298,7 +298,7 @@ def save_event_log(log: EventLog, path: str | Path) -> None:
     A failed save leaves ``path`` as it was (see :func:`replacing_file`)."""
     source = output = ""
     src_body = out_body = b""
-    with replacing_file(path, binary=True) as handle:  # five writes a line: joining copies each snapshot again
+    with replacing_file(path) as handle:  # five writes a line: joining copies each snapshot again
         for time, source_cut, source_tail, output_cut, output_tail in log.changes():
             source, src_body = _escaped_body(source, source_cut, source_tail, src_body)
             output, out_body = _escaped_body(output, output_cut, output_tail, out_body)

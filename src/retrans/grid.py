@@ -149,9 +149,9 @@ def save_sweep_rows(rows: Sequence[SweepRow], path: str | Path) -> None:
     written in shortest round-trip form, so reading the file back yields
     the exact same values.  A failed save leaves ``path`` as it was."""
     with replacing_file(path) as handle:
-        handle.write("beta,k,bleu,tl,ne\n")
+        handle.write(b"beta,k,bleu,tl,ne\n")
         for row in rows:
             handle.write(
                 f"{row.bias_weight!r},{row.mask_length},{row.bleu!r},"
-                f"{row.translation_lag!r},{row.normalized_erasure!r}\n"
+                f"{row.translation_lag!r},{row.normalized_erasure!r}\n".encode()
             )

@@ -315,7 +315,7 @@ class Scorer:
         (clamped) one interpolates linearly between its two neighbouring source times."""
         if text not in self.finals:
             hyp = tokenize(text)
-            pieces = split_by_boundaries(hyp, mwer_segment(hyp, self.refs).boundaries)
+            pieces = split_by_boundaries(hyp, mwer_segment(hyp, self.refs))
             times = self.times
             positions = []
             spoken = []
@@ -410,4 +410,4 @@ def save_report(report: MetricsReport, path: str | Path) -> None:
         "lags": list(report.per_token_lag),
     }
     with replacing_file(path) as handle:
-        handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
+        handle.write((json.dumps(payload, ensure_ascii=False) + "\n").encode())

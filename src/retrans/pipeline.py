@@ -75,10 +75,8 @@ def save_transcript(transcript: TimedTranscript, path: str | Path) -> None:
     save leaves ``path`` as it was."""
     with replacing_file(path) as handle:
         for tok in transcript.tokens:
-            handle.write(
-                '{"w": %s, "time": %s}\n'
-                % (json.dumps(tok.token, ensure_ascii=False), format_seconds(tok.time))
-            )
+            line = '{"w": %s, "time": %s}\n' % (json.dumps(tok.token, ensure_ascii=False), format_seconds(tok.time))
+            handle.write(line.encode())
 
 
 def load_transcript(path: str | Path) -> TimedTranscript:

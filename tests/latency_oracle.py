@@ -22,7 +22,7 @@ from test_align import full_table_segment
 
 def segment(hyp: list[str], refs: list[list[str]]) -> list[list[str]]:
     """``hyp`` cut into one piece per reference segment, where the full-table segmenter cuts it."""
-    cuts = [0, *full_table_segment(hyp, refs).boundaries, len(hyp)]
+    cuts = [0, *full_table_segment(hyp, refs), len(hyp)]
     return [hyp[start:end] for start, end in zip(cuts, cuts[1:])]
 
 

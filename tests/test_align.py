@@ -11,7 +11,7 @@ from retrans import (
     run_simulation,
     tokenize,
 )
-from retrans.align import Segmentation, lcp_len, mwer_segment, split_by_boundaries
+from retrans.align import lcp_len, mwer_segment, split_by_boundaries
 
 
 def levenshtein(a, b):
@@ -27,6 +27,12 @@ def levenshtein(a, b):
     return prev[-1]
 
 
+def cut_cost(hyp, refs, cuts):
+    """Summed edit distance of the pieces that ``cuts`` make of ``hyp`` to ``refs``."""
+    edges = [0, *cuts, len(hyp)]
+    return sum(levenshtein(hyp[start:end], ref) for start, end, ref in zip(edges, edges[1:], refs))
+
+
 def brute_force_segment(hyp, refs):
     """Try every non-decreasing cut vector; first optimum found is the
     lexicographically smallest one."""
@@ -36,13 +42,11 @@ def brute_force_segment(hyp, refs):
         edges = [0, *cuts, len(hyp)]
         if any(a > b for a, b in zip(edges, edges[1:])):
             continue
-        cost = sum(
-            levenshtein(hyp[edges[i]:edges[i + 1]], refs[i]) for i in range(len(refs))
-        )
+        cost = cut_cost(hyp, refs, cuts)
         if best_cost is None or cost < best_cost:
             best_cost = cost
             best_cuts = cuts
-    return Segmentation(tuple(best_cuts), best_cost)
+    return tuple(best_cuts)
 
 
 def full_table_segment(hyp, refs):
@@ -92,7 +96,7 @@ def full_table_segment(hyp, refs):
                 boundaries.append(j)
                 pos = j
                 break
-    return Segmentation(tuple(boundaries), suffix[0][0])
+    return tuple(boundaries)
 
 
 # Least cost budget the banded oracle's band is first built for.
@@ -187,7 +191,7 @@ def banded_segment(hyp, refs):
                 diag = shorter
         boundaries.append(j)
         pos = j
-    return Segmentation(tuple(boundaries), total)
+    return tuple(boundaries)
 
 
 def test_levenshtein_basics():
@@ -227,23 +231,23 @@ def test_lcp_is_symmetric_and_bounded(a, b):
 
 def test_segment_empty_hypothesis_pays_full_deletion():
     result = mwer_segment([], [["a"], ["b"]])
-    assert result == Segmentation((0,), 2)
+    assert result == (0,)
+    assert cut_cost([], [["a"], ["b"]], result) == 2
 
 
 def test_segment_exact_split():
     hyp = "the dish tastes good the court was fair".split()
     refs = ["the dish tastes good".split(), "the court was fair".split()]
     result = mwer_segment(hyp, refs)
-    assert result.total_edit_distance == 0
-    assert result.boundaries == (4,)
+    assert cut_cost(hyp, refs, result) == 0
+    assert result == (4,)
 
 
 def test_segment_prefers_leftmost_of_equal_splits():
     # both cuts 1 and 2 give total distance 2; the left one must win
     result = mwer_segment(["x", "a", "x"], [["a"], ["a"]])
     oracle = brute_force_segment(["x", "a", "x"], [["a"], ["a"]])
-    assert result == oracle
-    assert result.boundaries == oracle.boundaries
+    assert result == oracle == (1,)
 
 
 def test_segment_rejects_bad_references():
@@ -285,11 +289,28 @@ def test_segment_matches_brute_force_property(hyp, refs):
 )
 def test_segment_boundaries_are_well_formed(hyp, refs):
     result = mwer_segment(hyp, refs)
-    assert len(result.boundaries) == len(refs) - 1
-    assert all(0 <= b <= len(hyp) for b in result.boundaries)
-    assert list(result.boundaries) == sorted(result.boundaries)
-    pieces = split_by_boundaries(hyp, result.boundaries)
-    assert sum(levenshtein(piece, ref) for piece, ref in zip(pieces, refs)) == result.total_edit_distance
+    assert len(result) == len(refs) - 1
+    assert all(0 <= b <= len(hyp) for b in result)
+    assert list(result) == sorted(result)
+    pieces = split_by_boundaries(hyp, result)
+    assert [tok for piece in pieces for tok in piece] == hyp
+    # Splitting never costs extra, so the best split costs the distance to
+    # the references joined.
+    assert cut_cost(hyp, refs, result) == levenshtein(hyp, [tok for ref in refs for tok in ref])
+
+
+@given(
+    st.lists(st.sampled_from("abcd"), max_size=10),
+    st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4), min_size=1, max_size=3),
+)
+def test_segment_cuts_tuples_and_texts_as_lists_and_changes_neither(hyp, refs):
+    before = (list(hyp), [list(ref) for ref in refs])
+    result = mwer_segment(hyp, refs)
+    assert (hyp, refs) == before
+    assert type(result) is tuple
+    assert mwer_segment(tuple(hyp), tuple(map(tuple, refs))) == result
+    # One-letter tokens: a text indexes and slices as its list of letters.
+    assert mwer_segment("".join(hyp), ["".join(ref) for ref in refs]) == result
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +348,7 @@ def test_segment_and_banded_oracle_match_full_table_when_its_band_widens():
         hyp = [rng.choice("abcdefghij") for _ in range(max(0, total + rng.randint(-2, 2)))]
         result = _assert_matches_full_table(hyp, refs)
         assert banded_segment(hyp, refs) == result
-        widened += result.total_edit_distance > max(abs(total - len(hyp)), _MIN_BAND)
+        widened += cut_cost(hyp, refs, result) > max(abs(total - len(hyp)), _MIN_BAND)
     assert widened >= 10
 
 
@@ -339,7 +360,7 @@ def test_segment_matches_full_table_on_disjoint_vocabularies():
         refs = _random_refs(rng, "abc", rng.randint(1, 6), 10)
         hyp = [rng.choice("xyz") for _ in range(rng.randint(0, 60))]
         result = _assert_matches_full_table(hyp, refs)
-        assert result.total_edit_distance == max(len(hyp), sum(len(ref) for ref in refs))
+        assert cut_cost(hyp, refs, result) == max(len(hyp), sum(len(ref) for ref in refs))
 
 
 def test_segment_matches_full_table_on_empty_hypothesis():
@@ -347,7 +368,7 @@ def test_segment_matches_full_table_on_empty_hypothesis():
     for _ in range(20):
         refs = _random_refs(rng, "abcd", rng.randint(1, 8), 30)
         result = _assert_matches_full_table([], refs)
-        assert result.boundaries == (0,) * (len(refs) - 1)
+        assert result == (0,) * (len(refs) - 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -415,4 +436,4 @@ def test_segment_matches_banded_oracle_when_no_word_matches():
     hyp = [f"w{i % 7}" for i in range(150)]
     result = mwer_segment(hyp, refs)
     assert result == banded_segment(hyp, refs)
-    assert result.total_edit_distance == max(len(hyp), sum(len(ref) for ref in refs))
+    assert cut_cost(hyp, refs, result) == max(len(hyp), sum(len(ref) for ref in refs))

@@ -802,6 +802,36 @@ def test_a_negative_zero_time_saves_as_zero_and_reloads_in_place(tmp_path, monke
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_transcripts_reports_and_sweep_rows_save_as_these_exact_bytes(tmp_path):
+    # Round trips compare a file with its own re-save, so they would not see
+    # an escape or an encoding change; these literals would.  No token can
+    # hold U+2028: str.split, and so tokenize, takes it for whitespace.
+    transcript = TimedTranscript(
+        (
+            TimedToken('"Zitat"', -0.0),
+            TimedToken("a\\b", 0.5),
+            TimedToken("\x01", 2.125),
+            TimedToken("\u00fcber\U0001F600", 2.125),
+        )
+    )
+    save_transcript(transcript, tmp_path / "transcript.jsonl")
+    assert (tmp_path / "transcript.jsonl").read_bytes() == (
+        b'{"w": "\\"Zitat\\"", "time": 0.0}\n'
+        b'{"w": "a\\\\b", "time": 0.5}\n'
+        b'{"w": "\\u0001", "time": 2.125}\n'
+        b'{"w": "\xc3\xbcber\xf0\x9f\x98\x80", "time": 2.125}\n'
+    )
+    least = 5e-324  # the least subnormal double
+    save_report(MetricsReport(-0.0, least, 1e308, (0, 3), (-0.0, least, 1e308)), tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_bytes() == (
+        b'{"bleu": -0.0, "tl": 5e-324, "ne": 1e+308, "erasure": [0, 3], "lags": [-0.0, 5e-324, 1e+308]}\n'
+    )
+    rows = [SweepRow(-0.0, 2, least, 1e308, -0.0), SweepRow(0.5, 0, 1e308, -0.0, least)]
+    save_sweep_rows(rows, tmp_path / "rows.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (
+        b"beta,k,bleu,tl,ne\n-0.0,2,5e-324,1e+308,-0.0\n0.5,0,1e+308,-0.0,5e-324\n"
+    )
+
 
 class _Unwritable:
     def __repr__(self):
