@@ -9,11 +9,14 @@ from typing import Sequence
 
 def lcp_len(a: Sequence, b: Sequence) -> int:
     """Length of the longest common prefix of two sequences of one type, such as
-    two token lists or two strings, by slice comparisons at C speed."""
+    two token lists or two strings, by slice comparisons at C speed.  Two of
+    different types, whose slices never compare equal, raise ``TypeError``."""
     if len(a) > len(b):
         a, b = b, a
     if b[:len(a)] == a:  # one comparison when one extends the other
         return len(a)
+    if type(a) is not type(b):
+        raise TypeError(f"lcp_len needs two sequences of one type, got {type(a).__name__} and {type(b).__name__}")
     known, bound = 0, len(a) - 1  # a[:known] == b[:known], and the common prefix ends by bound
     while known < bound:  # a binary search that compares only what is not yet known to be shared
         middle = (known + bound + 1) // 2

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .align import lcp_len
 from .decoder import DecoderConfig, ScoringModel
-from .eventlog import replacing_file
+from .eventlog import replacing_file, tokenize
 from .metrics import DisplayFold, ReferenceDocument, Scorer, Tally
 from .pipeline import SessionState, TimedTranscript, advance, display_texts, event_time
 
@@ -47,12 +47,14 @@ def sweep(
 
     The mask only changes the display: the search is biased toward the
     previous *unmasked* translation.  So each (bias weight, document) pair
-    is decoded once, and each decoded state is shown under every mask
-    length in one :func:`~retrans.pipeline.display_texts` call.  Each display
-    goes into that length's :class:`~retrans.metrics.DisplayFold`; one equal
-    to the last folds as erasure 0, with nothing compared or tokenized.  As
-    the document ends, each fold goes with the event times, stamped once per
-    document, into that length's :class:`~retrans.metrics.Tally`, scored through
+    is decoded once.  Per word, the tokens that froze and the live ones are
+    compared once with the last word's live tokens, and every mask length's
+    kept, erased and added tokens follow by arithmetic: no display is built
+    per word.  Each length's :class:`~retrans.metrics.DisplayFold` counts
+    them, and as the document ends takes its last display from one
+    :func:`~retrans.pipeline.display_texts` call and goes with the event
+    times, stamped once per document, into that length's
+    :class:`~retrans.metrics.Tally`, scored through
     :class:`~retrans.metrics.Scorer`, as ``evaluate_all`` scores a session:
     each reference is prepared once per sweep, and each distinct final
     translation of a document is segmented once for both BLEU and lag.
@@ -91,19 +93,41 @@ def sweep(
         config = DecoderConfig(beam_size=beam_size, bias_weight=bias_weight)
         tallies = {mask_length: Tally() for mask_length in mask_lengths}
         for (name, transcript, _), scorer, times in zip(documents, scorers, event_times):
-            folds = {mask_length: DisplayFold() for mask_length in tallies}
+            folds = [DisplayFold() for _ in mask_lengths]
             state = SessionState()
+            # Under k a display's tokens are the frozen ones, then the live
+            # ones less the hidden[k] that its last k live tokens show as.
+            # So past the last word's frozen tokens, its display under k is
+            # last_live[:len(last_live) - hidden[k]], and this word's is
+            # tail[:len(tail) - hiding[k]], where tail is what froze since
+            # then and the live tokens: one common prefix serves every k.
+            last_live: list[str] = []
+            hidden = [0] * len(mask_lengths)
             try:
                 for token in transcript.tokens:
+                    frozen = len(state.frozen_text)
                     state = advance(state, (token,), model, config)
-                    for fold, display in zip(folds.values(), display_texts(state, mask_lengths)):
-                        if display == fold.display:  # nothing erased and no token changed: nothing to fold
-                            fold.erased.append(0)
-                        else:
-                            fold.add(display, lcp_len(fold.display, display))
+                    live = state.previous_unmasked
+                    live_tokens = tokenize(" ".join(live))
+                    tail = tokenize(state.frozen_text[frozen:]) + live_tokens
+                    common = lcp_len(last_live, tail)
+                    hiding = [
+                        len(tokenize(" ".join(live[len(live) - k:]))) if k < len(live) else len(live_tokens)
+                        for k in mask_lengths
+                    ]
+                    n_last, n_tail = len(last_live), len(tail)
+                    for fold, before, after in zip(folds, hidden, hiding):
+                        old, new = n_last - before, n_tail - after
+                        kept = common if common < old else old  # min() would cost a call per k
+                        if new < kept:
+                            kept = new
+                        fold.count(old - kept, new - kept)
+                    last_live, hidden = live_tokens, hiding
+                for fold, display in zip(folds, display_texts(state, mask_lengths)):
+                    fold.display = display
             except ValueError as exc:
                 raise ValueError(f"sweep failed at beta={bias_weight!r} document={name}: {exc}") from None
-            for mask_length, fold in folds.items():
+            for mask_length, fold in zip(mask_lengths, folds):
                 try:
                     tallies[mask_length].add(fold, times, scorer)
                 except ValueError as exc:

@@ -113,8 +113,10 @@ class DisplayFold:
     holds the tokens each display retracted from the one before it (or from
     an empty one), and ``changed``, per token of the latest display, the
     1-based index of the display at which the prefix through that token
-    last changed.  Only the two tails past a token border both displays
-    share are tokenized."""
+    last changed.  :meth:`add` folds a display's text, tokenizing only the
+    two tails past a token border both displays share, and keeps it in
+    ``display``; :meth:`count` folds a change given as token counts, for a
+    caller that knows them, and leaves ``display`` for it to set."""
 
     __slots__ = ("display", "erased", "changed")
 
@@ -140,10 +142,17 @@ class DisplayFold:
             old = tokenize(self.display[cut:])
             kept = lcp_len(new, old)
             erased = len(old) - kept
-            del self.changed[len(self.changed) - erased:]
-        self.erased.append(erased)
-        self.changed += [len(self.erased)] * (len(new) - kept)
+        self.count(erased, len(new) - kept)
         self.display = text
+
+    def count(self, erased: int, added: int) -> None:
+        """Fold in a display that keeps all but the last ``erased`` tokens
+        of the latest one and shows ``added`` tokens after them."""
+        if erased:
+            del self.changed[-erased:]
+        self.erased.append(erased)
+        if added:
+            self.changed += [len(self.erased)] * added
 
 
 def _fold(log: EventLog) -> DisplayFold:
@@ -292,8 +301,9 @@ class Scorer:
     against its segments once, and that one segmentation gives both the
     text's BLEU statistics and its tokens' source positions for lag."""
 
-    def __init__(self, reference: ReferenceDocument, source: list[str]) -> None:
+    def __init__(self, reference: ReferenceDocument, source: Sequence[str]) -> None:
         expected = [token.token for segment in reference.segments for token in segment.source_tokens]
+        source = list(source)
         if source != expected:
             at = lcp_len(source, expected)
             seen = repr(source[at]) if at < len(source) else "no token"

@@ -23,8 +23,9 @@ bias target changed since the last one: with one-word feeds, three rounds
 a word while the translation only grows.  :func:`display_texts` masks the
 live tail and :func:`event_time` stamps the event.  The mask only changes
 what is shown, never what is decoded, so one decoded session serves every
-mask length: ``sweep`` decodes each (bias weight, document) pair once and
-displays each state under all of its mask lengths in one call.
+mask length: ``sweep`` decodes each (bias weight, document) pair once,
+folds each word's display under every mask length from token counts, and
+shows the state it ends on under all of them in one call.
 
 The timed transcript is read from JSONL (:func:`load_transcript`) or from
 caption cues (:func:`load_captions`).

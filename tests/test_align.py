@@ -218,6 +218,17 @@ def test_lcp_len():
     assert lcp_len([], ["a"]) == 0
     assert lcp_len(["a", "b"], ["a", "b", "c"]) == 2
     assert lcp_len(["a", "x"], ["a", "y"]) == 1
+    assert lcp_len(("a",), ("a", "b")) == 1
+
+
+@pytest.mark.parametrize("a, b", [(("a",), ["a"]), (["a"], ("a", "b")), ("ab", ["a", "b"]), ((), [])])
+def test_lcp_len_rejects_sequences_of_different_types(a, b):
+    # Their slices never compare equal, so a shared prefix would read 0.
+    names = {type(a).__name__, type(b).__name__}
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(TypeError, match="^lcp_len needs two sequences of one type, got ") as caught:
+            lcp_len(first, second)
+        assert set(str(caught.value).split(", got ")[1].split(" and ")) == names
 
 
 @given(st.lists(st.sampled_from("ab"), max_size=8), st.lists(st.sampled_from("ab"), max_size=8))

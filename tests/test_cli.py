@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import eventlog_oracle
+import retrans.grid
 import retrans.metrics
 import sweep_oracle
 from retrans import (
@@ -31,7 +32,7 @@ from retrans.cli import _parse_grid, _parse_ne_ceiling, main
 from retrans.decoder import EOS_TOKEN
 from retrans.eventlog import tokenize
 from retrans.grid import SweepRow, pareto_subset, save_sweep_rows, sweep
-from retrans.pipeline import TimedTranscript
+from retrans.pipeline import TimedTranscript, display_texts
 
 from conftest import TOY_DIR
 from test_pipeline import _SOURCE_WORDS, table_models
@@ -445,6 +446,21 @@ def test_sweep_segments_each_toy_document_at_most_once_per_bias_weight(monkeypat
     betas, ks = _GRID
     sweep(toy_model, toy_documents, betas, ks, beam_size=2)
     assert 0 < len(calls) <= len(betas) * len(toy_documents)
+
+
+def test_sweep_builds_the_displays_once_per_bias_weight_and_document(monkeypatch, toy_model, toy_documents):
+    # Every word's display change is counted in tokens; only the displays a
+    # document ends on, which are scored, are built.
+    calls = []
+
+    def counting(state, mask_lengths):
+        calls.append(tuple(mask_lengths))
+        return display_texts(state, mask_lengths)
+
+    monkeypatch.setattr(retrans.grid, "display_texts", counting)
+    betas, ks = _GRID
+    sweep(toy_model, toy_documents, betas, ks, beam_size=2)
+    assert calls == [tuple(ks)] * (len(betas) * len(toy_documents))
 
 
 def test_grid_parsers():

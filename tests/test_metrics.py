@@ -41,7 +41,7 @@ from retrans.metrics import (
 )
 
 from conftest import build_log, worked_session_log
-from erasure_oracle import tokenizing_erasure
+from erasure_oracle import common_prefix_len, tokenizing_erasure
 from sweep_oracle import source_mismatch
 
 
@@ -179,6 +179,37 @@ def test_erasure_and_finalization_match_their_tokenizing_oracles(log):
         assert tuple(fold.changed) == latency_oracle.finalization(prefix).event_indices
     assert erasure(log) == tokenizing_erasure(log)
     assert finalization(log) == latency_oracle.finalization(log).event_indices
+
+
+_DISPLAY_TOKENS = ["a", "b", "", " ", "p q"]
+
+
+@st.composite
+def token_displays(draw):
+    """Displays as lists of the tokens a model may return, each display
+    keeping a drawn prefix of the one before it."""
+    displays = [[]]
+    for _ in range(draw(st.integers(1, 8))):
+        kept = displays[-1][: draw(st.integers(0, len(displays[-1])))]
+        displays.append(kept + draw(st.lists(st.sampled_from(_DISPLAY_TOKENS), max_size=4)))
+    return displays[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(displays=token_displays())
+def test_folding_token_counts_equals_folding_joined_texts(displays):
+    # Joining with one space leaves a token border after every token, so a
+    # display's tokens are those of its tokens, one by one.
+    texts, counts = DisplayFold(), DisplayFold()
+    shown: list[str] = []
+    for tokens in displays:
+        text = " ".join(tokens)
+        texts.add(text, lcp_len(texts.display, text))
+        now = [word for token in tokens for word in token.split()]
+        kept = common_prefix_len(shown, now)
+        counts.count(len(shown) - kept, len(now) - kept)
+        shown = now
+        assert (counts.erased, counts.changed) == (texts.erased, texts.changed)
 
 
 def test_scoring_a_growing_log_tokenizes_a_small_share_of_its_snapshots(monkeypatch):
@@ -384,6 +415,17 @@ def test_every_session_over_another_source_raises_from_every_entry_point(session
     for entry_point in _SCORING_ENTRY_POINTS:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entry_point(log, doc)
+
+
+def test_a_scorer_reads_its_source_words_from_any_sequence(toy_documents):
+    # A tuple of the right words once read as differing at token 1: 'die' instead of 'die'.
+    _, transcript, reference = next(doc for doc in toy_documents if doc[0] == "news.jsonl")
+    words = tuple(token.token for token in transcript.tokens)
+    Scorer = retrans.metrics.Scorer
+    assert Scorer(reference, words).final("die") == Scorer(reference, list(words)).final("die")
+    message = "the source (22 tokens) differs from the reference's source (22 tokens) at token 3: 'x' instead of 'sagen'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Scorer(reference, (*words[:2], "x", *words[3:]))
 
 
 # ---------------------------------------------------------------------------

@@ -247,21 +247,24 @@ def test_a_step_splits_only_its_feed(monkeypatch, toy_model, toy_documents, chun
 
 _SOURCE_WORDS = ("a", "b", "c", "a.", "b?", "c!", ".", "?!")
 _CONTEXTS = (ANY_CONTEXT, END_OF_SOURCE, "a", "b", "c", "a.")
-# EMPTY and EOS_TOKEN make empty tokens and empty or short translations.
-_TARGETS = ("X", "Y", "Z.", "W", "EMPTY", EOS_TOKEN)
+# EMPTY, SPACED and BLANK make tokens that are not one display token each
+# (see EmptyTargetModel); EOS_TOKEN makes empty or short translations.
+_TARGETS = ("X", "Y", "Z.", "W", "EMPTY", "SPACED", "BLANK", EOS_TOKEN)
 _DISTRIBUTIONS = ((1.0,), (0.5, 0.5), (0.75, 0.25))
+_RENAMED = {"EMPTY": "", "SPACED": "p q", "BLANK": " "}
 
 
 @dataclass(frozen=True)
 class EmptyTargetModel:
-    """Serves a table's distributions with the target EMPTY renamed to "",
-    a token that a TableModel rejects but any other model may produce."""
+    """Serves a table's distributions with the targets EMPTY, SPACED and
+    BLANK renamed to "", "p q" and " ": tokens that a TableModel rejects but
+    any other model may produce, which show as no display token or as two."""
 
     table: TableModel
 
     def next_distribution(self, source, source_complete, prefix):
         dist = self.table.next_distribution(source, source_complete, prefix)
-        return {("" if target == "EMPTY" else target): p for target, p in dist.items()}
+        return {_RENAMED.get(target, target): p for target, p in dist.items()}
 
 
 @st.composite
