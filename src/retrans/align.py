@@ -27,6 +27,14 @@ def lcp_len(a: Sequence, b: Sequence) -> int:
     return known
 
 
+def _match_masks(pattern: Sequence[str]) -> dict[str, int]:
+    """Per token of ``pattern``, the int whose bit j is set where pattern[j] is that token."""
+    match: dict[str, int] = {}
+    for j, tok in enumerate(pattern):
+        match[tok] = match.get(tok, 0) | 1 << j
+    return match
+
+
 def _border_columns(pattern: Sequence[str], texts: Sequence[Sequence[str]]) -> list[tuple[int, int, int]]:
     """Columns of the edit-distance table of ``pattern`` against the
     concatenated ``texts``, kept before the first text and after each one.
@@ -40,9 +48,7 @@ def _border_columns(pattern: Sequence[str], texts: Sequence[Sequence[str]]) -> l
     texts[:r] against any split of ``pattern[:j]`` into r pieces.
     """
     full = (1 << len(pattern)) - 1
-    match: dict[str, int] = {}
-    for j, tok in enumerate(pattern):
-        match[tok] = match.get(tok, 0) | 1 << j
+    match = _match_masks(pattern)
     i, vp, vn = 0, full, 0
     columns = [(i, vp, vn)]
     for text in texts:
@@ -76,9 +82,10 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> tuple[int
     For N hypothesis and M reference tokens the cost table takes M
     bit-vector steps on N-bit ints, with no band and no widening, and keeps
     one exact column per segment border.  Cuts are recovered by growing
-    each piece one hypothesis token at a time against its reference, while
-    the cost of the rest is read off the next border column once and then
-    updated by one bit per token.
+    each piece one hypothesis token at a time, each token one such step on
+    len(ref)-bit ints against the piece's own reference, whose horizontal
+    deltas' top bit moves the piece's cost; the cost of the rest is read
+    off the next border column once and then updated by one bit per token.
 
     Raises ``ValueError`` when ``refs`` is empty or contains an empty
     segment.
@@ -107,25 +114,27 @@ def mwer_segment(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> tuple[int
     boundaries: list[int] = []
     pos = 0
     for r in range(1, count):
-        # Grow the piece hyp[pos:j] one token at a time; costs[k] is its
-        # edit distance to ref[:k], and rest is suffix(r, j), which loses
-        # bit width - j of the column's sum when j advances.
+        # Grow the piece hyp[pos:j] by _border_columns' step against ref;
+        # cost, its distance to ref, moves by the top bit of hp and hn, and
+        # rest is suffix(r, j), which loses bit width - j of its column's sum.
         ref = refs[r - 1]
         rest, vp, vn = suffix(r, pos)
-        costs = list(range(len(ref) + 1))
+        match, full, top = _match_masks(ref), (1 << len(ref)) - 1, len(ref) - 1
+        cost, piece_vp, piece_vn = len(ref), full, 0
         j = pos
-        while costs[-1] + rest != target:
+        while cost + rest != target:
             if j == width:
                 raise AssertionError("segmentation table is inconsistent")
-            hyp_tok = hyp[j]
+            x = match.get(hyp[j], 0) | piece_vn
             j += 1
             rest += (vn >> (width - j) & 1) - (vp >> (width - j) & 1)
-            diag = costs[0]
-            costs[0] = j - pos
-            for k, ref_tok in enumerate(ref, 1):
-                shorter = costs[k]
-                costs[k] = min(diag + (hyp_tok != ref_tok), shorter + 1, costs[k - 1] + 1)
-                diag = shorter
+            d0 = ((((x & piece_vp) + piece_vp) ^ piece_vp) | x) & full
+            hp = piece_vn | ~(d0 | piece_vp)
+            hn = piece_vp & d0
+            cost += (hp >> top & 1) - (hn >> top & 1)
+            x = hp << 1 | 1
+            piece_vn = x & d0
+            piece_vp = (hn << 1 | ~(x | d0)) & full
         boundaries.append(j)
         pos = j
         target = rest

@@ -30,6 +30,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -233,7 +234,8 @@ def token_lags(log: EventLog, doc: ReferenceDocument) -> list[float]:
 
 def ngram_counts(tokens: Sequence[str]) -> Counter:
     """The counts of the n-grams of ``tokens`` for n = 1..4, keyed by the n-gram as a tuple."""
-    return Counter(tuple(tokens[i:i + n]) for n in range(1, 5) for i in range(len(tokens) - n + 1))
+    second, third, fourth = tokens[1:], tokens[2:], tokens[3:]
+    return Counter(chain(zip(tokens), zip(tokens, second), zip(tokens, second, third), zip(tokens, second, third, fourth)))
 
 
 def bleu_statistics(hypotheses: Sequence[Sequence[str]], reference_counts: Sequence[Counter]) -> list[int]:
@@ -245,7 +247,8 @@ def bleu_statistics(hypotheses: Sequence[Sequence[str]], reference_counts: Seque
     statistics = [0] * 8
     for hyp, ref_counts in zip(hypotheses, reference_counts):
         for gram, count in ngram_counts(hyp).items():
-            statistics[len(gram) - 1] += min(count, ref_counts[gram])
+            matched = ref_counts.get(gram, 0)  # not [gram], whose miss calls Counter.__missing__
+            statistics[len(gram) - 1] += count if count < matched else matched
         for n in range(min(len(hyp), 4)):
             statistics[4 + n] += len(hyp) - n
     return statistics

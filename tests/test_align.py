@@ -448,3 +448,140 @@ def test_segment_matches_banded_oracle_when_no_word_matches():
     result = mwer_segment(hyp, refs)
     assert result == banded_segment(hyp, refs)
     assert cut_cost(hyp, refs, result) == max(len(hyp), sum(len(ref) for ref in refs))
+
+
+# ---------------------------------------------------------------------------
+# Bit-vector cut recovery against the cell-by-cell recovery it replaced
+
+
+def cell_recovery_segment(hyp, refs):
+    """The bit-vector segmenter as it was before its cut recovery took
+    bit-vector steps: the same forward pass over the reversed problem, then
+    each piece grown one hypothesis token at a time, filling its distance
+    to every prefix of its reference cell by cell."""
+    count = len(refs)
+    width = len(hyp)
+    pattern = hyp[::-1]
+    full = (1 << width) - 1
+    match = {}
+    for j, tok in enumerate(pattern):
+        match[tok] = match.get(tok, 0) | 1 << j
+    i, vp, vn = 0, full, 0
+    columns = [(i, vp, vn)]
+    for text in [ref[::-1] for ref in refs[::-1]]:
+        for tok in text:
+            x = match.get(tok, 0) | vn
+            d0 = ((((x & vp) + vp) ^ vp) | x) & full
+            hp = vn | ~(d0 | vp)
+            hn = vp & d0
+            x = hp << 1 | 1
+            vn = x & d0
+            vp = (hn << 1 | ~(x | d0)) & full
+        i += len(text)
+        columns.append((i, vp, vn))
+
+    def suffix(r, j):
+        i, vp, vn = columns[count - r]
+        low = (1 << (width - j)) - 1
+        vp &= low
+        vn &= low
+        return i + vp.bit_count() - vn.bit_count(), vp, vn
+
+    target = suffix(0, 0)[0]
+    boundaries = []
+    pos = 0
+    for r in range(1, count):
+        ref = refs[r - 1]
+        rest, vp, vn = suffix(r, pos)
+        costs = list(range(len(ref) + 1))
+        j = pos
+        while costs[-1] + rest != target:
+            hyp_tok = hyp[j]
+            j += 1
+            rest += (vn >> (width - j) & 1) - (vp >> (width - j) & 1)
+            diag = costs[0]
+            costs[0] = j - pos
+            for k, ref_tok in enumerate(ref, 1):
+                shorter = costs[k]
+                costs[k] = min(diag + (hyp_tok != ref_tok), shorter + 1, costs[k - 1] + 1)
+                diag = shorter
+        boundaries.append(j)
+        pos = j
+        target = rest
+    return tuple(boundaries)
+
+
+def _assert_matches_cell_recovery(hyp, refs):
+    result = mwer_segment(hyp, refs)
+    assert result == cell_recovery_segment(hyp, refs)
+    return result
+
+
+def test_cell_recovery_oracle_matches_the_brute_force_oracle():
+    rng = random.Random(21)
+    for _ in range(150):
+        refs = _random_refs(rng, "abc", rng.randint(1, 3), 4)
+        hyp = [rng.choice("abcz") for _ in range(rng.randint(0, 9))]
+        assert cell_recovery_segment(hyp, refs) == brute_force_segment(hyp, refs)
+
+
+def test_segment_matches_cell_recovery_on_long_references_with_stray_words():
+    # References of up to 150 tokens over a few words, so each piece's
+    # masks span several machine words and hold every token many times;
+    # "z" and "y" occur in no reference.
+    rng = random.Random(22)
+    longest = 0
+    for _ in range(40):
+        refs = _random_refs(rng, "abcd", rng.randint(1, 5), 150)
+        total = sum(len(ref) for ref in refs)
+        hyp = [rng.choice("abcdzy") for _ in range(max(0, total + rng.randint(-30, 30)))]
+        _assert_matches_cell_recovery(hyp, refs)
+        longest = max(longest, *map(len, refs))
+    assert longest > 128
+
+
+def test_segment_matches_cell_recovery_when_a_piece_must_be_empty():
+    # The segment "q" shares no word with the hypothesis, which is exactly
+    # the other segments back to back: its piece must be empty, whether it
+    # comes first, in the middle or last.
+    rng = random.Random(23)
+    for _ in range(60):
+        refs = _random_refs(rng, "abcd", rng.randint(2, 4), 80)
+        hyp = [tok for ref in refs for tok in ref]
+        for place in (0, rng.randint(1, len(refs) - 1), len(refs)):
+            placed = refs[:place] + [["q"]] + refs[place:]
+            result = _assert_matches_cell_recovery(hyp, placed)
+            pieces = split_by_boundaries(hyp, result)
+            assert pieces[place] == []
+            assert cut_cost(hyp, placed, result) == 1
+
+
+def test_segment_matches_cell_recovery_on_exact_ties():
+    # One stray word between two segments costs 1 on either side of it:
+    # both cuts are optimal, and the left one must win.
+    rng = random.Random(24)
+    for _ in range(60):
+        first, second = _random_refs(rng, "abcd", 2, 70)
+        hyp = first + ["z"] + second
+        result = _assert_matches_cell_recovery(hyp, [first, second])
+        assert cut_cost(hyp, [first, second], result) == 1
+        assert cut_cost(hyp, [first, second], (len(first) + 1,)) == 1
+        assert result[0] <= len(first)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from("abcz"), max_size=90),
+    st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=70), min_size=1, max_size=4),
+)
+def test_segment_matches_cell_recovery_property(hyp, refs):
+    _assert_matches_cell_recovery(hyp, refs)
+
+
+@pytest.mark.parametrize("sentences_per_segment", [1, 5])
+def test_segment_matches_cell_recovery_on_the_toy_corpus(toy_model, toy_documents, sentences_per_segment):
+    hyp, sentences = _toy_sessions(toy_model, toy_documents)
+    refs = _join_sentences(sentences, sentences_per_segment)
+    _assert_matches_cell_recovery(hyp, refs)
+    _assert_matches_cell_recovery(hyp[: len(hyp) // 2], refs)
+    _assert_matches_cell_recovery(hyp * 3, refs * 3)

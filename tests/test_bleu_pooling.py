@@ -3,6 +3,8 @@ counts every segment's n-grams on each call (:mod:`bleu_oracle`)."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -54,3 +56,36 @@ def test_pooled_bleu_statistics_match_the_oracle(documents):
     assert bleu_score(pooled, sum(len(ref) for ref in refs)) == expected
     assert bleu_corpus(hyps, refs) == expected
     assert abs(expected - independent_bleu(hyps, refs)) <= 1e-9
+
+
+def slice_ngram_counts(tokens):
+    """The n-gram counts as first defined: one slice tuple per n-gram."""
+    return Counter(tuple(tokens[i:i + n]) for n in range(1, 5) for i in range(len(tokens) - n + 1))
+
+
+_WORDS = st.lists(st.sampled_from("abc"), max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments=st.lists(st.tuples(_WORDS, _WORDS), min_size=1, max_size=4))
+# shares every unigram with its reference, no 4-gram
+@example(segments=[(["a", "b", "c", "d", "e"], ["a", "b", "c", "e", "d"])])
+def test_ngram_counts_keep_their_definition_and_clipping_leaves_references_as_they_were(segments):
+    for tokens in (side for segment in segments for side in segment):
+        for sequence in (tokens, tuple(tokens)):
+            counts = ngram_counts(sequence)
+            assert type(counts) is Counter
+            assert dict(counts) == dict(slice_ngram_counts(tokens))
+    # A Scorer reuses each reference's counts for every final translation
+    # it scores, so clipping must not add a key for a missing n-gram.
+    ref_counts = [ngram_counts(ref) for _, ref in segments]
+    before = [list(counts.items()) for counts in ref_counts]
+    statistics = bleu_statistics([hyp for hyp, _ in segments], ref_counts)
+    assert [list(counts.items()) for counts in ref_counts] == before
+    expected = [0] * 8
+    for hyp, ref in segments:
+        ref_grams = slice_ngram_counts(ref)
+        for gram, count in slice_ngram_counts(hyp).items():
+            expected[len(gram) - 1] += min(count, ref_grams[gram])
+            expected[len(gram) + 3] += count
+    assert statistics == expected
