@@ -36,9 +36,9 @@ class ScoringModel(Protocol):
 
     A model may also declare an int class attribute ``source_lookahead``
     = L >= 0.  It promises that a distribution reads of the prefix only its
-    length ``n``, and of the source only the words before position
-    ``n + L + 1`` while that position is inside the source; once it is not,
-    the distribution may read the whole source and its completeness.  For
+    length ``n``, and, while ``n + L + 1 <= len(source)``, of the source
+    only the words before position ``n + L + 1``, not its completeness;
+    past that bound it may read the whole source and its completeness.  For
     such a model :func:`biased_beam_search` asks for one distribution per
     target position and can resume from a :class:`BeamMemo`.  A model that
     does not declare it always gets the full search, one distribution per
@@ -214,11 +214,13 @@ class BeamMemo:
     model that declares a ``source_lookahead`` L (see :class:`ScoringModel`)
     it reads the model at prefix length ``n``, the bias target
     ``previous[n]`` (none past the end of ``previous``), the bias weight and
-    the beam size.  So while the model, the weight, the beam size, the
-    source words before ``n + L + 1`` and ``previous[:n + 1]`` are those of
-    the last search, the beam after round ``n`` is the one recorded here.
-    :meth:`rebase` keeps exactly those rounds.  One memo serves one search
-    at a time; pass it to each search over the growing sentence.
+    the beam size.  So while the model, the weight, the beam size,
+    ``previous[:n + 1]`` and either the source words before ``n + L + 1``
+    (with ``n + L + 1 <= len(source)`` in both searches) or the whole source
+    and its completeness are those of the last search, the beam after round
+    ``n`` is the one recorded here.  :meth:`rebase` keeps exactly those
+    rounds.  One memo serves one search at a time; a session passes its one
+    memo to every search.
     """
 
     __slots__ = ("model", "source", "source_complete", "previous", "bias_weight", "beam_size", "beams")
@@ -255,7 +257,7 @@ class BeamMemo:
         else:
             kept = len(beams)
             if source != self.source or source_complete != self.source_complete:
-                # Round n read the source words before n + lookahead + 1.
+                # A round n with n + lookahead + 1 <= lcp read only words both sources share.
                 shared = lcp_len(source, self.source) - lookahead
                 kept = shared if shared < kept else kept
             if previous != self.previous:

@@ -16,11 +16,11 @@ sentence cost, not what the whole session so far costs.
 
 A step has two parts.  :func:`advance` decodes: it feeds the tokens and
 retranslates, biased toward the live sentence's previous *unmasked*
-translation.  The state carries the live sentence's search rounds (a
-:class:`~retrans.decoder.BeamMemo`), so under a model that declares its
-look-ahead a retranslation redoes only the rounds whose source context or
-bias target changed since the last one: with one-word feeds, three rounds
-a word while the translation only grows.  :func:`display_texts` masks the
+translation.  A session keeps one :class:`~retrans.decoder.BeamMemo`, and
+every search goes through it, so under a model that declares its
+look-ahead a search redoes only the rounds whose source context or bias
+target changed since the last search: with one-word feeds, three rounds a
+word while the translation only grows.  :func:`display_texts` masks the
 live tail and :func:`event_time` stamps the event.  The mask only changes
 what is shown, never what is decoded, so one decoded session serves every
 mask length: ``sweep`` decodes each (bias weight, document) pair once,
@@ -158,8 +158,8 @@ class SessionState:
     extends.
     ``previous_unmasked`` is the live sentence's latest unmasked
     translation: the bias target of its next retranslation and the tail the
-    display masks.  ``memo`` holds the live sentence's search rounds, from
-    which its next retranslation resumes (see
+    display masks.  ``memo`` is the session's one search memo, which every
+    state of the session shares and from which every search resumes (see
     :class:`~retrans.decoder.BeamMemo`).  It checks its own inputs, so
     advancing one state twice, or under another config or model, stays
     exact; it takes no part in comparing or printing states.
@@ -187,9 +187,9 @@ def advance(
     and frozen.  The last sentence, if incomplete, is retranslated biased
     toward its own previous unmasked translation.  Only the fed tokens are
     split: ``state.live`` holds no cut, so it goes in front of the feed's
-    first sentence, sentence 0, which resumes its search from ``state.memo``;
-    a sentence that starts in this feed searches from round 0, into a
-    fresh memo that the new state keeps if it is the live one.
+    first sentence, sentence 0.  Every search resumes from ``state.memo``,
+    which keeps only the rounds the search shares with the last one, and
+    the new state holds that same memo.
     """
     for prev, cur in zip(new_tokens, new_tokens[1:]):  # earlier feeds were checked when fed
         if cur.time < prev.time:
@@ -205,19 +205,16 @@ def advance(
 
     frozen_text = state.frozen_text
     previous_unmasked: tuple[str, ...] = ()
-    memo = state.memo
     for index, sentence in enumerate(sentences):
         complete = last_complete or index < len(sentences) - 1
         bias_target = state.previous_unmasked if index == 0 else ()  # sentence 0 is state.live's
-        if index:
-            memo = BeamMemo()
         translated = biased_beam_search(
             model,
             sentence,
             complete,
             # Field by field: dataclasses.replace would cost three times as much, every step.
             DecoderConfig(config.beam_size, config.bias_weight, config.mask_length, bias_target),
-            memo=memo,
+            memo=state.memo,
         )
         if complete:
             frozen_text += "".join(token + " " for token in translated)
@@ -226,11 +223,8 @@ def advance(
 
     joined = " ".join(fed)
     source_text = f"{state.source_text} {joined}" if state.source_text else joined
-    if last_complete:
-        live, memo = (), BeamMemo()
-    else:
-        live = tuple(sentences[-1])
-    return SessionState(live, new_tokens[-1].time, source_text, frozen_text, previous_unmasked, memo)
+    live = () if last_complete else tuple(sentences[-1])
+    return SessionState(live, new_tokens[-1].time, source_text, frozen_text, previous_unmasked, state.memo)
 
 
 def event_time(last_time: float, delay: float) -> float:

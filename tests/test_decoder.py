@@ -4,6 +4,7 @@ import math
 import random
 import re
 from types import MappingProxyType
+from typing import ClassVar
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -572,6 +573,79 @@ def test_searches_sharing_one_memo_match_the_replaced_search(model, source_stem,
         source = source_stem[:source_cut] + source_tail
         previous = tuple(previous_stem[:previous_cut] + previous_tail)
         config = DecoderConfig(beam_size=beam, bias_weight=weight, previous_translation=previous)
+        expected = decoder_oracle.biased_beam_search(model, source, source_complete, config)
+        assert biased_beam_search(model, source, source_complete, config, memo=memo) == expected
+
+
+class _BoundReadingModel:
+    """Reads at target position ``n`` all that its ``source_lookahead`` L
+    allows and nothing more: the words before ``n + L + 1`` while
+    ``n + L + 1 <= len(source)``, else the whole source and its
+    completeness.  Each distinct read draws its own distribution from the
+    model's seed, so a change to anything it reads may change what it
+    serves.  Past the end of the source only EOS remains."""
+
+    source_lookahead: ClassVar[int] = 0
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.served: dict[tuple, dict[str, float]] = {}
+
+    def next_distribution(self, source, source_complete, prefix):
+        n = len(prefix)
+        bound = n + self.source_lookahead + 1
+        if bound <= len(source):
+            read = (n, tuple(source[:bound]))
+        elif n <= len(source):
+            read = (n, tuple(source), source_complete)
+        else:
+            return {EOS_TOKEN: 1.0}
+        dist = self.served.get(read)
+        if dist is None:
+            rng = random.Random(f"{self.seed}:{read}")
+            probs = rng.choice(_SESSION_DISTRIBUTIONS)
+            dist = self.served[read] = dict(zip(rng.sample(_SESSION_TARGETS, len(probs)), probs))
+        return dist
+
+
+_BOUND_READING_MODELS = tuple(
+    type(f"Lookahead{lookahead}Model", (_BoundReadingModel,), {"source_lookahead": lookahead})
+    for lookahead in range(4)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model_class=st.sampled_from(_BOUND_READING_MODELS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    words=st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=8),
+    previous_stem=st.lists(st.sampled_from(_SESSION_TARGETS), max_size=8),
+    searches=st.lists(
+        st.tuples(
+            st.integers(min_value=-1, max_value=2),
+            st.booleans(),
+            st.integers(min_value=0, max_value=8),
+            st.sampled_from([(2, 0.5), (1, 0.0), (3, 1.0), (4, 0.25)]),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_searches_by_a_model_that_reads_up_to_its_lookahead_bound_match_the_replaced_search(
+    model_class, seed, words, previous_stem, searches
+):
+    """The look-ahead contract is exact at its bound: for models that read
+    everything ``n + L + 1 <= len(source)`` allows (L = 0 to 3), a run of
+    searches through one memo, over a source that grows, shrinks or stays
+    while its completeness flips and the beam size and weight switch,
+    returns what each search from scratch returns."""
+    model = model_class(seed)
+    memo = BeamMemo()
+    length = 1
+    for growth, source_complete, previous_cut, (beam, weight) in searches:
+        length = min(max(length + growth, 1), len(words))
+        source = words[:length]
+        config = DecoderConfig(beam_size=beam, bias_weight=weight, previous_translation=tuple(previous_stem[:previous_cut]))
         expected = decoder_oracle.biased_beam_search(model, source, source_complete, config)
         assert biased_beam_search(model, source, source_complete, config, memo=memo) == expected
 

@@ -242,6 +242,19 @@ def test_a_step_splits_only_its_feed(monkeypatch, toy_model, toy_documents, chun
     assert [state.live for state in states] == expected_live
 
 
+@pytest.mark.parametrize("chunk_size", [1, 3])
+def test_every_state_of_a_session_holds_one_memo(toy_model, toy_documents, chunk_size):
+    """``advance`` makes no search memo: the session's first state holds
+    the one that every search, of every sentence, resumes from."""
+    (transcript,) = [transcript for name, transcript, _ in toy_documents if name == "news.jsonl"]
+    config = DecoderConfig(beam_size=2, bias_weight=0.5, mask_length=2)
+    states = [SessionState()]
+    for start in range(0, len(transcript), chunk_size):
+        states.append(pipeline.advance(states[-1], transcript.tokens[start:start + chunk_size], toy_model, config))
+    assert sum(not state.live for state in states[1:]) >= 2  # sentences completed along the way
+    assert len({id(state.memo) for state in states}) == 1  # every state is kept, so no id is reused
+
+
 # ---------------------------------------------------------------------------
 # Differential test: the running-text replay against the rebuilding one
 
