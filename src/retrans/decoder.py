@@ -82,7 +82,8 @@ class TableModel:
                     f"source word {word!r} has context-specific entries but no {ANY_CONTEXT} entry"
                 )
         for (word, ctx), dist in self.entries.items():
-            if any(tokenize(token) != [token] for token in (word, ctx, *dist)):
+            tokens = [word, ctx, *dist]
+            if tokenize(" ".join(tokens)) != tokens:  # the split gives them back only if each is one token
                 raise ValueError(f"({word!r}, {ctx!r}): every token must be non-empty and whitespace-free")
             if not dist:
                 raise ValueError(f"empty distribution for ({word!r}, {ctx!r})")
@@ -146,7 +147,7 @@ def load_table_model(path: str | Path) -> TableModel:
         if len(parts) != 4:
             raise ValueError(f"expected 4 tab-separated columns, got {len(parts)}")
         word, context, target, prob_text = parts
-        if any(tokenize(token) != [token] for token in (word, context, target)):
+        if tokenize(" ".join(parts[:3])) != parts[:3]:  # as in TableModel
             raise ValueError("every token must be non-empty and whitespace-free")
         try:
             prob = float(prob_text)

@@ -58,7 +58,7 @@ class TimedToken:
     def __post_init__(self) -> None:
         if tokenize(self.token) != [self.token]:
             raise ValueError(f"token must be non-empty and whitespace-free, got {self.token!r}")
-        if not math.isfinite(self.time) or self.time < 0.0:
+        if not 0.0 <= self.time < math.inf:  # false for NaN too
             raise ValueError(f"token time must be finite and >= 0, got {self.time!r}")
 
 
@@ -215,12 +215,14 @@ def json_object(line: str, *keys: str) -> dict:
     too large for one decodes as inf, as the literal 1e400 does."""
     line = line.strip()
     try:
-        if line.startswith("\ufeff"):  # json.loads's own check, which the decoder skips
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-        record = _JSON.decode(line)
+        record, end = _JSON.raw_decode(line)  # stripped, so it fails as decode would
+        if end != len(line):
+            record = _JSON.decode(line)  # raises json.loads's "Extra data"
     except json.JSONDecodeError as exc:
+        if line.startswith("\ufeff"):  # json.loads's own check, which the decoder skips
+            exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
         raise ValueError(f"not valid JSON: {exc}") from None
-    if not isinstance(record, dict) or set(record) != set(keys):
+    if not isinstance(record, dict) or record.keys() != set(keys):
         expected = ", ".join(f'"{key}"' for key in keys)
         raise ValueError(f"expected an object with keys {expected}")
     if "\\" in line:  # JSON spells a surrogate only as an escape

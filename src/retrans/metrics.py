@@ -78,6 +78,9 @@ class ReferenceDocument:
         return [tokenize(seg.reference_text) for seg in self.segments]
 
 
+_SOURCE_ENTRY_KEYS = frozenset(("w", "time"))
+
+
 def load_reference_document(path: str | Path) -> ReferenceDocument:
     segments: list[ReferenceSegment] = []
     last_time = 0.0
@@ -89,7 +92,7 @@ def load_reference_document(path: str | Path) -> ReferenceDocument:
             raise ValueError('"src" must be a list and "ref" a string')
         tokens = []
         for item in record["src"]:
-            if not isinstance(item, dict) or set(item) != {"w", "time"}:
+            if not isinstance(item, dict) or item.keys() != _SOURCE_ENTRY_KEYS:
                 raise ValueError('source entries need exactly the keys "w", "time"')
             token = parse_timed_token(item)
             if token.time < last_time:

@@ -89,6 +89,42 @@ def test_loader_and_constructor_reject_the_same_rows(tmp_path, word, context, ta
         load_table_model(path)
 
 
+def replaced_table_check(entries) -> str | None:
+    """What TableModel raised for these entries, each word with a ∗ entry
+    and every probability valid, when it split each token alone; None when
+    it accepted them."""
+    for (word, ctx), dist in entries.items():
+        if any(token.split() != [token] for token in (word, ctx, *dist)):
+            return f"({word!r}, {ctx!r}): every token must be non-empty and whitespace-free"
+    return None
+
+
+_ONE_TOKEN = ["x", ANY_CONTEXT, END_OF_SOURCE]
+# Half the draws are one token, so that whole tables pass too.
+_CHECKED_TOKENS = st.one_of(st.sampled_from(_ONE_TOKEN), st.sampled_from(["", " ", "\u3000", "a b", "a\u2028b", *_ONE_TOKEN]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(_CHECKED_TOKENS, _CHECKED_TOKENS),
+        st.lists(_CHECKED_TOKENS, min_size=1, max_size=3, unique=True),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_table_model_rejects_the_tokens_the_per_token_rule_rejects(drawn):
+    entries = {(word, ANY_CONTEXT): {"x": 1.0} for word, _ in drawn}
+    entries.update({key: dict.fromkeys(targets, 1 / len(targets)) for key, targets in drawn.items()})
+    expected = replaced_table_check(entries)
+    if expected is None:
+        TableModel(entries)
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            TableModel(entries)
+        assert str(excinfo.value) == expected
+
+
 def test_table_model_rejects_nan_probabilities():
     nan = float("nan")
     with pytest.raises(ValueError, match="sums to nan"):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
 import re
 from json.decoder import scanstring
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from retrans import (
     Event,
@@ -393,6 +394,9 @@ _LINE_ERRORS = {
     "transcript-time": (load_transcript, [_WORD], '{"w": "b", "time": "2.0"}', '"time" must be a number'),
     "transcript-bool-time": (load_transcript, [_WORD], '{"w": "b", "time": true}', '"time" must be a number'),
     "transcript-order": (load_transcript, [_WORD], '{"w": "b", "time": 0.5}', "transcript times must be non-decreasing"),
+    "transcript-extra-data": (
+        load_transcript, [_WORD], '{"w": "b", "time": 2.0} x', "not valid JSON: Extra data: line 1 column 25 (char 24)"
+    ),
     "reference-shape": (load_reference_document, [_SEGMENT], '{"src": {}, "ref": "y"}', '"src" must be a list and "ref" a string'),
     "reference-entry-keys": (
         load_reference_document, [_SEGMENT], '{"src": [{"w": "b"}], "ref": "y"}', 'source entries need exactly the keys "w", "time"'
@@ -403,11 +407,20 @@ _LINE_ERRORS = {
     "reference-empty-segment": (
         load_reference_document, [_SEGMENT], '{"src": [], "ref": "y"}', "a reference segment needs at least one source token"
     ),
+    "reference-extra-data": (
+        load_reference_document,
+        [_SEGMENT],
+        '{"src": [{"w": "b", "time": 2.0}], "ref": "y"} {"src": [], "ref": "z"}',
+        "not valid JSON: Extra data: line 1 column 48 (char 47)",
+    ),
     "event-log-json": (
         load_event_log, [_EVENT], '  {"t": 2.0,', "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 11 (char 10)"
     ),
     "event-log-bom": (
         load_event_log, [_EVENT], '\ufeff{"t": 2.0, "src": "b", "out": "y"}', "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    ),
+    "event-log-extra-data": (  # in the writer's form up to the stray brace, so read whole
+        load_event_log, [_EVENT], '{"t": 2.0, "src": "b", "out": "y"}}', "not valid JSON: Extra data: line 1 column 35 (char 34)"
     ),
     "event-log-t": (load_event_log, [_EVENT], '{"t": "2.0", "src": "b", "out": "y"}', '"t" must be a number'),
     "event-log-strings": (load_event_log, [_EVENT], '{"t": 2.0, "src": "b", "out": 1.0}', '"src" and "out" must be strings'),
@@ -423,6 +436,78 @@ def test_readers_name_the_file_and_line_of_each_bad_line(tmp_path, reader, good,
     with pytest.raises(ValueError) as excinfo:
         reader(path)
     assert str(excinfo.value) == f"{path}: line {len(good) + 2}: {message}"
+
+
+def replaced_json_object(line: str, *keys: str) -> dict:
+    """The whole-line reference for json_object: json.loads of the stripped
+    line, its keys compared as sets, then the same surrogate check."""
+    line = line.strip()
+    try:
+        record = json.loads(line, parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+    if not isinstance(record, dict) or set(record) != set(keys):
+        expected = ", ".join(f'"{key}"' for key in keys)
+        raise ValueError(f"expected an object with keys {expected}")
+    if "\\" in line:
+        for key, value in record.items():
+            found = re.search("[\ud800-\udfff]", json.dumps(value, ensure_ascii=False))
+            if found:
+                raise ValueError(f'"{key}" holds the lone surrogate {found.group()!r}')
+    return record
+
+
+_KEY_SETS = [("w", "time"), ("src", "ref"), ("t", "src", "out")]
+# JSON texts of values: escapes, a lone surrogate, NaN and the infinities,
+# integers too large for a float, nested values.
+_JSON_VALUES = [
+    '"a"', '"a b"', '"\\"q\\""', '"\\\\"', '"\\ud800"', '"\\ud83d\\ude00"', '"é"', "1.5", "-0", "NaN",
+    "Infinity", "-Infinity", "1" + "0" * 400, "1" + "0" * 5000, "true", "null", "[]", '[1, "b"]', '{"w": "a"}',
+]
+# Unicode whitespace that str.strip removes and JSON does not allow, JSON's
+# own, and a byte order mark, which is no whitespace.
+_AROUND = [" ", "\t", "\r", "\u3000", "\xa0", "\u2028", "\x1c", "\x85", "\ufeff"]
+
+
+@st.composite
+def _jsonl_cases(draw) -> tuple[str, tuple[str, ...]]:
+    """A line, often an object with the expected keys, then perhaps given
+    trailing data, doubled, truncated or replaced by a bare value, and the
+    expected keys."""
+    keys = draw(st.sampled_from(_KEY_SETS))
+    names = draw(st.one_of(st.permutations(keys), st.lists(st.sampled_from(["w", "time", "src", "t", "x"]), max_size=4)))
+    line = "{" + ", ".join(f'"{name}": {draw(st.sampled_from(_JSON_VALUES))}' for name in names) + "}"
+    edit = draw(st.sampled_from(["none", "trailing", "twice", "truncate", "value"]))
+    if edit == "trailing":
+        line += draw(st.sampled_from([" x", "} x", "}", ",", "]", " {}"]))
+    elif edit == "twice":
+        line += draw(st.text(st.sampled_from(_AROUND), max_size=1)) + line
+    elif edit == "truncate":
+        line = line[:draw(st.integers(0, len(line)))]
+    elif edit == "value":
+        line = draw(st.sampled_from(_JSON_VALUES))
+    before, after = (draw(st.text(st.sampled_from(_AROUND), max_size=2)) for _ in range(2))
+    return before + line + after, keys
+
+
+def _outcome(read, line: str, keys: tuple[str, ...]) -> str:
+    """What ``read`` returns, by repr (a NaN is unequal to itself), or the text of its ValueError."""
+    try:
+        return repr(read(line, *keys))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_jsonl_cases())
+@example(case=('{"w": "a", "time": 1.0} x', ("w", "time")))
+@example(case=('{"w": "a", "time": 1.0}{"w": "a", "time": 1.0}', ("w", "time")))
+@example(case=('\ufeff{"w": "a", "time": 1.0}', ("w", "time")))
+@example(case=('\u3000{"w": "a", "time": NaN}\u2028', ("w", "time")))
+@example(case=('{"t": 1%s, "src": "a", "out": "\\ud800"}' % ("0" * 5000), ("t", "src", "out")))
+def test_json_object_decodes_and_fails_as_json_loads_of_the_whole_line(case):
+    line, keys = case
+    assert _outcome(json_object, line, keys) == _outcome(replaced_json_object, line, keys)
 
 
 @pytest.mark.parametrize("zeros", [400, 5000])
